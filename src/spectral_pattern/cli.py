@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data or file problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,6 +25,7 @@ import numpy as np
 from .data import (
     LABELS,
     Standardizer,
+    _mask_indices,
     generate_synthetic_dataset,
     load_dataset,
     prepare_inference_samples,
@@ -31,7 +33,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .errors import DataError, NumericError, SpectralPatternError
+from .errors import CheckpointError, DataError, NumericError, SpectralPatternError
 from .geometry import FEATURE_NAMES
 from .graph import GraphConfig
 from .nn import (
@@ -157,14 +159,33 @@ def _checkpoint_extra(args, config: GraphConfig, standardizer, feature_mask) -> 
     }
 
 
+@contextlib.contextmanager
+def _checkpoint_settings():
+    """Turns a missing or malformed `extra` entry into a CheckpointError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint settings missing or malformed ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def _restore(checkpoint_path):
     model, extra = load_checkpoint(checkpoint_path)
-    std = Standardizer(
-        mean=np.array(extra["standardizer"]["mean"], dtype=float),
-        std=np.array(extra["standardizer"]["std"], dtype=float),
-    )
-    config = GraphConfig(**extra["graph"])
-    mask = extra.get("feature_mask")
+    with _checkpoint_settings():
+        stats = extra["standardizer"]
+        std = Standardizer(
+            mean=np.array(stats["mean"], dtype=float),
+            std=np.array(stats["std"], dtype=float),
+        )
+        config = GraphConfig(**extra["graph"])
+        mask = extra["feature_mask"]
+        n_columns = len(_mask_indices(mask))
+    if not (std.mean.shape[0] == n_columns == model.feature_dim):
+        raise CheckpointError(
+            f"checkpoint standardizer has {std.mean.shape[0]} features and its mask "
+            f"selects {n_columns}, but the model expects {model.feature_dim}"
+        )
     return model, extra, std, config, mask
 
 
@@ -215,7 +236,8 @@ def cmd_eval(args) -> int:
     model, extra, std, config, mask = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
-    ds = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
+    with _checkpoint_settings():
+        ds = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
     groups = ds.split_groups(args.split)
     samples = prepare_inference_samples(groups, std, config, mask)
     accuracy, confusion = evaluate(model, samples)

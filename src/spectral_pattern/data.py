@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    CoincidentCentroids,
+    DuplicatePoints,
     EmptySplit,
     GeometryError,
     InfeasiblePacking,
@@ -470,6 +472,16 @@ def generate_synthetic_dataset(
 # Model-ready samples
 
 
+def _group_graph(group: BuildingGroup, config: GraphConfig, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(selected feature columns, Laplacian) of one group's graph."""
+    try:
+        g = build_spatial_graph(group.buildings, config)
+    except DuplicatePoints as exc:
+        raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
+    L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
+    return g.features[:, cols], L.values
+
+
 def prepare_training_samples(
     dataset: Dataset,
     graph_config: GraphConfig | None = None,
@@ -490,9 +502,7 @@ def prepare_training_samples(
     for name in ("train", "val", "test"):
         for idx in getattr(dataset.splits, name):
             group = dataset.groups[idx]
-            g = build_spatial_graph(group.buildings, config)
-            L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
-            graphs[idx] = (group, g.features[:, cols], L.values)
+            graphs[idx] = (group, *_group_graph(group, config, cols))
 
     train_rows = np.vstack([graphs[i][1] for i in dataset.splits.train])
     standardizer = _fit_from_matrix(train_rows)
@@ -525,12 +535,11 @@ def prepare_inference_samples(
     cols = list(_mask_indices(feature_mask))
     samples = []
     for group in groups:
-        g = build_spatial_graph(group.buildings, config)
-        L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
+        feats, Lv = _group_graph(group, config, cols)
         samples.append(
             GraphSample(
-                laplacian=L.values,
-                features=standardizer.transform(g.features[:, cols]),
+                laplacian=Lv,
+                features=standardizer.transform(feats),
                 label=group.label_index,
                 sample_id=group.group_id,
             )

@@ -97,6 +97,10 @@ class UnknownLabel(DataError):
     """Label value outside the supported set."""
 
 
+class CoincidentCentroids(DataError):
+    """Two buildings of one group share a centroid, so it has no graph."""
+
+
 class InsufficientSamples(DataError):
     """A class has too few samples to split."""
 

@@ -29,7 +29,6 @@ WEIGHTINGS = ("binary", "invdist", "gaussian")
 LAPLACIAN_KINDS = ("comb", "sym")
 
 _COINCIDENT_EPS = 1e-9  # meters
-_JACOBI_MAX_SWEEPS = 100
 _POWER_MAX_ITER = 10_000
 _POWER_SEED = 20240229
 
@@ -442,42 +441,16 @@ def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Eigendecomposition (cyclic Jacobi with a round-robin ordering)
+# Eigendecomposition
 
 
-def _round_robin_pairs(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint index pairs covering every (p, q) once, p < q.
+def eigendecompose(L) -> EigenSystem:
+    """Full eigensystem of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
-    Standard circle scheduling: slot m-1 is fixed, the rest rotate.  m must
-    be even (callers pad odd sizes with a bye slot).
-    """
-    k = m - 1
-    rounds = []
-    for r in range(k):
-        seq = [(r + i) % k for i in range(k)]
-        pairs = [(seq[0], m - 1)]
-        for i in range(1, m // 2):
-            pairs.append((seq[i], seq[k - i]))
-        ps = np.array([min(p, q) for p, q in pairs])
-        qs = np.array([max(p, q) for p, q in pairs])
-        rounds.append((ps, qs))
-    return rounds
-
-
-def eigendecompose(L, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenSystem:
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
-
-    Each sweep visits every off-diagonal pair once, in rounds of disjoint
-    pairs; rotations within a round are computed from the same snapshot and
-    applied together, which is equivalent to composing them in any order
-    because disjoint plane rotations commute.  Stops when the off-diagonal
-    Frobenius norm drops below 1e-12 of the input norm.
-
-    Eigenvector sign is fixed by making each column's largest-magnitude
-    entry positive (first such index on ties).
+    Eigenvalues ascend.  Eigenvector sign is fixed by making each column's
+    largest-magnitude entry positive (first such index on ties).
     """
     A = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
-    A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -485,70 +458,10 @@ def eigendecompose(L, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenSystem:
         raise ValueError(f"matrix order {n} exceeds the supported 4096")
     if np.max(np.abs(A - A.T), initial=0.0) > 1e-12 * max(1.0, float(np.linalg.norm(A))):
         raise ValueError("matrix must be symmetric")
-    A = (A + A.T) / 2.0
-
-    V = np.eye(n)
-    if n == 1:
-        return EigenSystem(eigenvalues=A[0].copy(), eigenvectors=V)
-
-    target = 1e-12 * float(np.linalg.norm(A))
-    m = n if n % 2 == 0 else n + 1  # odd sizes get a bye slot
-    rounds = [
-        (ps[(ps < n) & (qs < n)], qs[(ps < n) & (qs < n)])
-        for ps, qs in _round_robin_pairs(m)
-    ]
-
-    def off_norm(M):
-        # direct norm of the off-diagonal part; the subtraction trick
-        # sum(M^2) - sum(diag^2) cancels catastrophically near convergence
-        B = M.copy()
-        np.fill_diagonal(B, 0.0)
-        return float(np.linalg.norm(B))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm(A) <= target:
-            converged = True
-            break
-        for ps, qs in rounds:
-            apq = A[ps, qs]
-            active = np.abs(apq) > 0.0
-            if not np.any(active):
-                continue
-            p, q = ps[active], qs[active]
-            apq = apq[active]
-            app, aqq = A[p, p], A[q, q]
-            with np.errstate(over="ignore"):
-                # tau overflow means a negligible pivot; t underflows to 0
-                # and the rotation degenerates to the identity, which is fine
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc, ss = c[:, None], s[:, None]
-            rows_p, rows_q = A[p, :], A[q, :]  # fancy indexing copies
-            A[p, :] = cc * rows_p - ss * rows_q
-            A[q, :] = ss * rows_p + cc * rows_q
-            cols_p, cols_q = A[:, p], A[:, q]
-            A[:, p] = cols_p * c - cols_q * s
-            A[:, q] = cols_p * s + cols_q * c
-            vp, vq = V[:, p], V[:, q]
-            V[:, p] = vp * c - vq * s
-            V[:, q] = vp * s + vq * c
-    else:
-        converged = False
-
-    if not converged:
-        off = off_norm(A)
-        if off > target:
-            raise NonConvergence(
-                f"Jacobi off-diagonal norm {off:g} above {target:g} after {max_sweeps} sweeps"
-            )
-
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    V = V[:, order]
+    try:
+        lam, V = np.linalg.eigh((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver did not converge: {exc}") from exc
     anchor = np.argmax(np.abs(V), axis=0)
     signs = np.where(V[anchor, np.arange(n)] < 0, -1.0, 1.0)
     return EigenSystem(eigenvalues=lam, eigenvectors=V * signs[None, :])

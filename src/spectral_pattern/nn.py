@@ -29,11 +29,13 @@ from .errors import (
     StateError,
 )
 from .graph import GraphConfig, LaplacianMatrix, SpatialGraph, laplacian
-from .spectral import power_stack
 
 POOLS = ("mean", "max")
 OPTIMIZERS = ("adam", "sgd")
 _PROB_FLOOR = 1e-12
+# samples per padded inference batch: larger buckets pad more and cost
+# memory, smaller ones make more small products
+_BUCKET = 16
 CHECKPOINT_VERSION = 1
 
 
@@ -101,8 +103,7 @@ class _ForwardCache:
 
     L: np.ndarray
     X: np.ndarray
-    powers: list  # per layer: (K, n, c_in)
-    pre_acts: list  # per layer: (n, c_out), before ReLU
+    tape: list  # per layer: (power stack (n, K*c_in), pre-activation (n, c_out))
     last_act: np.ndarray  # output of the final conv layer
     pooled: np.ndarray
     drop_mask: np.ndarray | None  # None when dropout was off
@@ -188,15 +189,8 @@ class GcnnModel:
         if X.shape[0] != Lv.shape[0]:
             raise DimensionMismatch("feature rows must match the Laplacian order")
 
-        powers, pre_acts = [], []
-        act = X
-        for layer in self.conv_layers:
-            P = power_stack(Lv, act, layer.order)
-            Z = np.tensordot(P, layer.theta, axes=([0, 2], [0, 1])) + layer.bias
-            powers.append(P)
-            pre_acts.append(Z)
-            act = np.maximum(Z, 0.0)
-
+        tape = [] if retain else None
+        act = _conv_stack(self.conv_layers, Lv, X, tape)
         pooled = global_mean_pool(act) if self.pool == "mean" else act.max(axis=0)
 
         mask = None
@@ -213,8 +207,7 @@ class GcnnModel:
             self._cache = _ForwardCache(
                 L=Lv,
                 X=X,
-                powers=powers,
-                pre_acts=pre_acts,
+                tape=tape,
                 last_act=act,
                 pooled=pooled,
                 drop_mask=mask,
@@ -228,16 +221,41 @@ class GcnnModel:
 # Forward pieces
 
 
+def _conv_stack(layers, L, X, tape=None) -> np.ndarray:
+    """Runs conv layers over a (B, n, c) stack of signals or one (n, c) signal.
+
+    Each layer puts [H, L H, ..., L^(K-1) H] side by side along channels,
+    so one product with theta reshaped to (K*c_in, c_out) applies every
+    coefficient; then bias and ReLU.  When `tape` is a list, each layer's
+    (power stack, pre-activation) pair is appended to it for backward.
+    """
+    H = X
+    for layer in layers:
+        K, c_in, c_out = layer.theta.shape
+        powers = [H]
+        for _ in range(1, K):
+            powers.append(L @ powers[-1])
+        P = np.concatenate(powers, axis=-1)
+        Z = P @ layer.theta.reshape(K * c_in, c_out) + layer.bias
+        if tape is not None:
+            tape.append((P, Z))
+        H = np.maximum(Z, 0.0)
+    return H
+
+
 def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.ndarray:
     """Y[:, o] = act( sum_c sum_k theta[k, c, o] L^k X[:, c] + bias[o] )."""
     if activation not in ("relu", "identity"):
         raise ValueError(f"unknown activation {activation!r}")
+    Lv = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != layer.c_in:
         raise DimensionMismatch(f"signal has {X.shape[1]} channels, layer expects {layer.c_in}")
-    P = power_stack(L, X, layer.order)
-    Z = np.tensordot(P, layer.theta, axes=([0, 2], [0, 1])) + layer.bias
-    return np.maximum(Z, 0.0) if activation == "relu" else Z
+    if X.shape[0] != Lv.shape[0]:
+        raise DimensionMismatch(f"signal has {X.shape[0]} vertices, operator has {Lv.shape[0]}")
+    tape = []
+    Y = _conv_stack([layer], Lv, X, tape)
+    return Y if activation == "relu" else tape[0][1]
 
 
 def global_mean_pool(X) -> np.ndarray:
@@ -251,10 +269,13 @@ def dense_softmax_forward(layer: DenseLayer, h) -> np.ndarray:
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape[0] != layer.c_in:
         raise DimensionMismatch(f"embedding has {h.shape[0]} entries, dense expects {layer.c_in}")
-    logits = layer.weights.T @ h + layer.bias
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / e.sum()
+    return _softmax(layer.weights.T @ h + layer.bias)
+
+
+def _softmax(logits) -> np.ndarray:
+    """Softmax along the last axis, shifted by the row maximum for stability."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy_loss(probs, label, model: GcnnModel) -> float:
@@ -281,6 +302,10 @@ def dropout_apply(h, rate, rng, training) -> np.ndarray:
 # Backward
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
 def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     """Exact gradients of cross_entropy_loss, in parameters() order.
 
@@ -292,7 +317,9 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if cache is None:
         raise StateError("backward needs a preceding forward pass with retain=True")
-    if cache.L.shape != Lv.shape or not np.array_equal(cache.L, Lv) or not np.array_equal(cache.X, X):
+    # train passes the very arrays it gave forward, so identity settles it
+    # without an element-wise comparison
+    if not (_same(cache.L, Lv) and _same(cache.X, X)):
         raise StateError("retained forward intermediates do not match these inputs")
     label = int(label)
     if not 0 <= label < model.n_classes:
@@ -311,7 +338,7 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
         dh = dh * cache.drop_mask
 
     if model.pool == "mean":
-        dY = np.tile(dh / n, (n, 1))
+        dY = np.broadcast_to(dh / n, cache.last_act.shape)
     else:
         dY = np.zeros_like(cache.last_act)
         dY[np.argmax(cache.last_act, axis=0), np.arange(dY.shape[1])] = dh
@@ -319,19 +346,20 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     grads: list[np.ndarray] = []
     for i in range(len(model.conv_layers) - 1, -1, -1):
         layer = model.conv_layers[i]
-        Z = cache.pre_acts[i]
-        P = cache.powers[i]
+        K, c_in, c_out = layer.theta.shape
+        P, Z = cache.tape[i]
         dZ = dY * (Z > 0.0)
-        d_theta = np.tensordot(P, dZ, axes=([1], [0])) + 2.0 * model.l2_lambda * layer.theta
+        d_theta = (P.T @ dZ).reshape(K, c_in, c_out) + 2.0 * model.l2_lambda * layer.theta
         d_bias = dZ.sum(axis=0)
         grads.append(d_bias)
         grads.append(d_theta)
         if i > 0:
-            # dX = sum_k L^k (dZ theta_k^T), Horner form; valid since L is symmetric
-            K = layer.order
-            acc = dZ @ layer.theta[K - 1].T
+            # dX = sum_k L^k (dZ theta_k^T), Horner form; valid since L is
+            # symmetric.  Column block k of G is dZ theta_k^T.
+            G = dZ @ layer.theta.reshape(K * c_in, c_out).T
+            acc = G[:, (K - 1) * c_in :]
             for k in range(K - 2, -1, -1):
-                acc = Lv @ acc + dZ @ layer.theta[k].T
+                acc = Lv @ acc + G[:, k * c_in : (k + 1) * c_in]
             dY = acc
 
     grads.reverse()
@@ -471,14 +499,58 @@ def build_model(
     return GcnnModel(layers, dense, pool=pool, dropout_rate=dropout_rate, l2_lambda=l2_lambda)
 
 
+def _inference_probs(model: GcnnModel, samples: Sequence[GraphSample]) -> np.ndarray:
+    """(N, n_classes) probabilities with dropout off, rows in sample order.
+
+    Samples are sorted by vertex count and run through the conv stack in
+    buckets of _BUCKET, zero-padded to the largest graph in the bucket.
+    Padded rows and columns of L are zero, so padded vertices never reach
+    real ones; only pooling has to leave them out.  Nothing is retained.
+    """
+    sizes = [s.features.shape[0] for s in samples]
+    for s, n in zip(samples, sizes):
+        if s.features.shape[1:] != (model.feature_dim,) or s.laplacian.shape != (n, n):
+            raise DimensionMismatch(
+                f"sample {s.sample_id!r}: features {s.features.shape} and Laplacian "
+                f"{s.laplacian.shape} do not fit a model with {model.feature_dim} channels"
+            )
+    order = np.argsort(sizes, kind="stable")
+    probs = np.empty((len(samples), model.n_classes))
+    for start in range(0, len(order), _BUCKET):
+        bucket = order[start : start + _BUCKET]
+        n_max = sizes[bucket[-1]]
+        L = np.zeros((len(bucket), n_max, n_max))
+        X = np.zeros((len(bucket), n_max, model.feature_dim))
+        real = np.zeros((len(bucket), n_max, 1))
+        for b, i in enumerate(bucket):
+            n = sizes[i]
+            L[b, :n, :n] = samples[i].laplacian
+            X[b, :n] = samples[i].features
+            real[b, :n] = 1.0
+        # padded rows become zero; after ReLU every real entry is >= 0, so
+        # zeros there change no maximum either
+        H = _conv_stack(model.conv_layers, L, X) * real
+        pooled = H.sum(axis=1) / real.sum(axis=1) if model.pool == "mean" else H.max(axis=1)
+        probs[bucket] = _softmax(pooled @ model.dense.weights + model.dense.bias)
+    return probs
+
+
+def _labels(samples: Sequence[GraphSample], n_classes: int) -> np.ndarray:
+    labels = np.array([-1 if s.label is None else s.label for s in samples], dtype=int)
+    bad = (labels < 0) | (labels >= n_classes)
+    if np.any(bad):
+        s = samples[int(np.argmax(bad))]
+        raise InvalidLabel(f"sample {s.sample_id!r}: label {s.label!r} outside [0, {n_classes})")
+    return labels
+
+
 def _split_metrics(model: GcnnModel, samples) -> tuple[float, float]:
-    loss = 0.0
-    hits = 0
-    for s in samples:
-        probs = model.forward(s.laplacian, s.features, training=False)
-        loss += cross_entropy_loss(probs, s.label, model)
-        hits += int(int(np.argmax(probs)) == s.label)
-    return loss / len(samples), hits / len(samples)
+    """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off."""
+    labels = _labels(samples, model.n_classes)
+    probs = _inference_probs(model, samples)
+    p_true = np.clip(probs[np.arange(len(samples)), labels], _PROB_FLOOR, 1.0)
+    loss = -float(np.mean(np.log(p_true))) + model.l2_lambda * model.penalty_weight_squares()
+    return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
 def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config: TrainConfig | None = None):
@@ -559,9 +631,9 @@ def evaluate(model: GcnnModel, samples: Sequence[GraphSample]):
         raise EmptySplit("cannot evaluate an empty split")
     c = model.n_classes
     confusion = np.zeros((c, c), dtype=int)
-    for s in samples:
-        probs = model.forward(s.laplacian, s.features, training=False)
-        confusion[int(s.label), int(np.argmax(probs))] += 1
+    labels = _labels(samples, c)
+    predicted = np.argmax(_inference_probs(model, samples), axis=1)
+    np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion)) / len(samples)
     return accuracy, confusion
 

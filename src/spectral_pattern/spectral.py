@@ -122,11 +122,7 @@ def polynomial_convolve(f, kernel: PolynomialKernel, L) -> np.ndarray:
 
 
 def power_stack(L, X, order: int) -> np.ndarray:
-    """Stack [X, L X, L^2 X, ...] of length `order`, shape (order, n, c).
-
-    Shared by the network's forward and backward passes so both see the
-    same intermediate products.
-    """
+    """Stack [X, L X, L^2 X, ...] of length `order`, shape (order, n, c)."""
     A = _matrix(L)
     X = np.atleast_2d(_signal(X))
     if X.shape[0] != A.shape[0]:

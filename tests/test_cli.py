@@ -5,6 +5,7 @@ import pytest
 
 from spectral_pattern.cli import ExperimentReport, main
 from spectral_pattern.data import generate_synthetic_dataset, save_dataset
+from spectral_pattern.nn import load_checkpoint, save_checkpoint
 from spectral_pattern.geometry import FEATURE_NAMES
 
 
@@ -156,6 +157,45 @@ class TestExitCodes:
         ckpt.write_text('{"version": 1, "oops": true}')
         assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("extra", ["none", "short standardizer"])
+    def test_checkpoint_without_usable_settings_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, extra
+    ):
+        # a library save_checkpoint(path, model) passes the checksum but
+        # carries none of the settings the commands read
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        if extra == "none":
+            settings = None
+        else:
+            stats = settings["standardizer"]
+            stats["mean"], stats["std"] = stats["mean"][:-1], stats["std"][:-1]
+        ckpt = tmp_path / "library.json"
+        save_checkpoint(ckpt, model, settings)
+        assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
+        assert "data error: checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_with_bad_split_ratios_is_3(self, data_path, artifacts, tmp_path, capsys):
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        settings["split"]["ratios"] = [0.5, 0.5]
+        ckpt = tmp_path / "bad-split.json"
+        save_checkpoint(ckpt, model, settings)
+        assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
+        assert "data error: checkpoint" in capsys.readouterr().err
+
+    def test_coincident_centroids_name_the_group_and_are_3(self, artifacts, tmp_path, capsys):
+        square = {"ring": [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]}
+        others = [
+            {"ring": [[x, 40.0], [x + 10.0, 40.0], [x + 10.0, 50.0], [x, 50.0]]}
+            for x in (0.0, 30.0)
+        ]
+        group = {"id": "twin-block", "buildings": [square, square, *others]}
+        path = tmp_path / "twins.ndjson"
+        path.write_text(json.dumps(group) + "\n")
+        assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", path) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "'twin-block'" in err and "coincide" in err
 
     def test_divergence_is_4(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",

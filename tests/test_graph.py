@@ -10,7 +10,6 @@ from spectral_pattern.errors import (
     DisconnectedInput,
     DuplicatePoints,
     IsolatedVertex,
-    NonConvergence,
 )
 from spectral_pattern.geometry import Point2, Polygon, convex_hull
 from spectral_pattern.graph import (
@@ -18,7 +17,6 @@ from spectral_pattern.graph import (
     GraphConfig,
     LaplacianMatrix,
     SpatialGraph,
-    _round_robin_pairs,
     build_spatial_graph,
     delaunay_triangles,
     delaunay_triangulate,
@@ -372,22 +370,6 @@ class TestEigendecompose:
     def test_accepts_laplacian_matrix(self):
         es = eigendecompose(laplacian(P2, kind="comb", scaled=False))
         assert es.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
-
-    def test_nonconvergence_raised(self, rng):
-        A = rng.standard_normal((12, 12))
-        A = (A + A.T) / 2.0
-        with pytest.raises(NonConvergence):
-            eigendecompose(A, max_sweeps=1)
-
-    def test_round_robin_covers_all_pairs_once(self):
-        for m in (2, 4, 6, 10, 16):
-            seen = []
-            for ps, qs in _round_robin_pairs(m):
-                assert len(set(ps.tolist() + qs.tolist())) == m  # disjoint within a round
-                seen.extend(zip(ps.tolist(), qs.tolist()))
-            assert sorted(seen) == [
-                (i, j) for i in range(m) for j in range(i + 1, m)
-            ]
 
 
 class TestLambdaMax:

@@ -35,6 +35,7 @@ from spectral_pattern.nn import (
     save_checkpoint,
     train,
 )
+from spectral_pattern.nn import _BUCKET, _conv_stack, _inference_probs, _split_metrics
 from spectral_pattern.spectral import PolynomialKernel, polynomial_convolve
 
 from conftest import random_connected_graph
@@ -410,7 +411,7 @@ class TestTrain:
         m, hist = train(model, splits, TrainConfig(epochs=12, seed=0, batch_size=4))
         assert hist.best_epoch >= 0
         _, acc_at_best = None, None
-        loss, _ = _val_metrics(m, splits["val"])
+        loss, _ = _split_metrics(m, splits["val"])
         assert loss == pytest.approx(hist.val_loss[hist.best_epoch], abs=1e-9)
 
     def test_diverged_loss_raises(self):
@@ -423,12 +424,6 @@ class TestTrain:
         )
         with pytest.raises(DivergedLoss):
             train(model, {"train": samples, "val": samples}, cfg)
-
-
-def _val_metrics(model, samples):
-    from spectral_pattern.nn import _split_metrics
-
-    return _split_metrics(model, samples)
 
 
 class TestEvaluate:
@@ -450,6 +445,107 @@ class TestEvaluate:
     def test_empty_split(self, rng):
         with pytest.raises(EmptySplit):
             evaluate(tiny_model(rng), [])
+
+
+def per_sample_metrics(model, samples):
+    """Reference for the batched pass: one forward and one loss per sample."""
+    loss, hits = 0.0, 0
+    for s in samples:
+        probs = model.forward(s.laplacian, s.features)
+        loss += cross_entropy_loss(probs, s.label, model)
+        hits += int(np.argmax(probs)) == s.label
+    return loss / len(samples), hits / len(samples)
+
+
+class TestBatchedInference:
+    def bucket(self, rng):
+        # one bucket whose graphs have many different vertex counts, with
+        # classes close enough that some predictions are wrong
+        samples = make_samples(rng, _BUCKET, n_range=(4, 14), separation=0.2)
+        assert len({s.features.shape[0] for s in samples}) >= 4
+        return samples
+
+    def model(self, rng, **kwargs):
+        # nonzero conv biases: with zero ones a padded vertex stays exactly
+        # zero through every layer, and a missing mask would go unseen
+        model = tiny_model(rng, **kwargs)
+        for layer in model.conv_layers:
+            layer.bias[:] = rng.uniform(0.1, 0.5, layer.c_out)
+        return model
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    def test_metrics_and_evaluate_match_the_per_sample_loop(self, rng, pool):
+        samples = self.bucket(rng)
+        model = self.model(rng, pool=pool, l2=1e-3)
+        probs = np.array([model.forward(s.laplacian, s.features) for s in samples])
+        assert np.max(np.abs(_inference_probs(model, samples) - probs)) <= 1e-12
+
+        loss, acc = _split_metrics(model, samples)
+        want_loss, want_acc = per_sample_metrics(model, samples)
+        assert abs(loss - want_loss) <= 1e-12
+        assert acc == want_acc
+
+        want = np.zeros((2, 2), dtype=int)
+        for s, p in zip(samples, probs):
+            want[s.label, int(np.argmax(p))] += 1
+        assert 0 < np.trace(want) < len(samples)
+        got_acc, confusion = evaluate(model, samples)
+        assert np.array_equal(confusion, want)
+        assert got_acc == want_acc
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    def test_padding_and_bucket_order_change_no_probabilities(self, rng, pool):
+        samples = self.bucket(rng)
+        model = self.model(rng, pool=pool)
+        probs = _inference_probs(model, samples)
+        alone = np.vstack([_inference_probs(model, [s]) for s in samples])  # nothing padded
+        assert np.max(np.abs(probs - alone)) <= 1e-12
+        perm = rng.permutation(len(samples))
+        shuffled = _inference_probs(model, [samples[i] for i in perm])
+        assert np.max(np.abs(shuffled - probs[perm])) <= 1e-12
+
+    def test_zero_rows_and_columns_leave_real_vertices_unchanged(self, rng):
+        model = self.model(rng)
+        s = make_samples(rng, 1, n_range=(6, 7))[0]
+        n, pad = 6, 5
+        L = np.zeros((n + pad, n + pad))
+        L[:n, :n] = s.laplacian
+        X = np.zeros((n + pad, 3))
+        X[:n] = s.features
+        want = _conv_stack(model.conv_layers, s.laplacian, s.features)
+        assert np.max(np.abs(_conv_stack(model.conv_layers, L, X)[:n] - want)) <= 1e-12
+
+    def test_single_graph_paths_agree_with_the_batched_routine(self, rng):
+        model = self.model(rng, channels=(4, 3))
+        samples = make_samples(rng, 2, n_range=(5, 10))
+        n_max = max(s.features.shape[0] for s in samples)
+        L = np.zeros((2, n_max, n_max))
+        X = np.zeros((2, n_max, 3))
+        for b, s in enumerate(samples):
+            n = s.features.shape[0]
+            L[b, :n, :n] = s.laplacian
+            X[b, :n] = s.features
+        H = _conv_stack(model.conv_layers, L, X)
+        probs = _inference_probs(model, samples)
+        for b, s in enumerate(samples):
+            n = s.features.shape[0]
+            h = s.features
+            for layer in model.conv_layers:
+                h = conv_layer_forward(layer, s.laplacian, h)
+            assert np.max(np.abs(H[b, :n] - h)) <= 1e-12
+            assert np.max(np.abs(model.forward(s.laplacian, s.features) - probs[b])) <= 1e-12
+
+    def test_rejects_a_sample_of_the_wrong_width(self, rng):
+        model = tiny_model(rng, d=3)
+        samples = make_samples(rng, 3, d=4)
+        with pytest.raises(DimensionMismatch):
+            evaluate(model, samples)
+
+    def test_rejects_a_label_outside_the_classes(self, rng):
+        model = tiny_model(rng)
+        s = make_samples(rng, 1)[0]
+        with pytest.raises(InvalidLabel):
+            evaluate(model, [GraphSample(s.laplacian, s.features, label=-1)])
 
 
 class TestPredict:
