@@ -265,7 +265,7 @@ def cmd_predict(args) -> int:
             "prediction": labels[int(np.argmax(probs))],
         }
         lines.append(json.dumps(obj))
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -38,6 +38,7 @@ from .nn import GraphSample
 LABELS = ("regular", "irregular")
 
 _STD_FLOOR = 1e-8
+_JSON_NUMBERS = (int, float)  # exact types: bool is an int subclass
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,21 @@ class Dataset:
 # NDJSON I/O
 
 
+def _check_ring(ring) -> None:
+    """A ring is a JSON list of [x, y] pairs of JSON numbers.  Strings and
+    booleans would pass `float()` inside `Point2`, so they are refused here."""
+    if not isinstance(ring, list):
+        raise ValueError("ring must be a list of [x, y] pairs")
+    for k, v in enumerate(ring):
+        if not (
+            isinstance(v, list)
+            and len(v) == 2
+            and type(v[0]) in _JSON_NUMBERS
+            and type(v[1]) in _JSON_NUMBERS
+        ):
+            raise ValueError(f"vertex {k} is not a pair of numbers: {v!r}")
+
+
 def _parse_group(obj, lineno: int) -> BuildingGroup:
     if not isinstance(obj, dict):
         raise ParseError("group line must be a JSON object", line=lineno)
@@ -114,8 +130,9 @@ def _parse_group(obj, lineno: int) -> BuildingGroup:
         if not isinstance(b, dict) or "ring" not in b:
             raise ParseError(f"building {b_idx} lacks a 'ring'", line=lineno)
         try:
+            _check_ring(b["ring"])
             polys.append(Polygon(b["ring"]))
-        except (GeometryError, ValueError, TypeError) as exc:
+        except (GeometryError, ValueError, TypeError, OverflowError) as exc:
             raise InvalidPolygon(f"building {b_idx}: {exc}", line=lineno) from exc
     return BuildingGroup(group_id=gid, buildings=tuple(polys), label=label)
 

@@ -95,7 +95,7 @@ class Polygon:
         if _all_collinear(pts):
             raise DegeneratePolygon("all vertices collinear")
         _check_simple(pts)
-        signed2 = _twice_signed_area(pts)
+        signed2 = _twice_signed_area([(q.x, q.y) for q in pts])
         if abs(signed2) / 2.0 < _MIN_AREA:
             raise DegeneratePolygon(f"|area| {abs(signed2) / 2.0:g} below {_MIN_AREA:g}")
         if signed2 < 0:
@@ -138,12 +138,10 @@ def _all_collinear(pts: Sequence[Point2]) -> bool:
     )
 
 
-def _twice_signed_area(pts: Sequence[Point2]) -> float:
+def _twice_signed_area(xy: Sequence[tuple[float, float]]) -> float:
     total = 0.0
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        total += ax * by - bx * ay
     return total
 
 
@@ -196,30 +194,35 @@ def _check_simple(pts: Sequence[Point2]) -> None:
                 raise SelfIntersectingPolygon(f"edges {i} and {j} intersect")
 
 
+def _ring_xy(p: Polygon) -> list[tuple[float, float]]:
+    return [(q.x, q.y) for q in p.ring]
+
+
+def _perimeter(xy: Sequence[tuple[float, float]]) -> float:
+    total = 0.0
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        total += math.hypot(bx - ax, by - ay)
+    return total
+
+
 def polygon_area(p: Polygon) -> float:
     """Shoelace area; positive because rings are stored counter-clockwise."""
-    return _twice_signed_area(p.ring) / 2.0
+    return _twice_signed_area(_ring_xy(p)) / 2.0
 
 
 def polygon_perimeter(p: Polygon) -> float:
-    total = 0.0
-    n = len(p.ring)
-    for i in range(n):
-        a, b = p.ring[i], p.ring[(i + 1) % n]
-        total += math.hypot(b.x - a.x, b.y - a.y)
-    return total
+    return _perimeter(_ring_xy(p))
 
 
 def polygon_centroid(p: Polygon) -> Point2:
     """Area centroid of the footprint."""
-    a2 = _twice_signed_area(p.ring)
+    xy = _ring_xy(p)
+    a2 = _twice_signed_area(xy)
     cx = cy = 0.0
-    n = len(p.ring)
-    for i in range(n):
-        a, b = p.ring[i], p.ring[(i + 1) % n]
-        w = a.x * b.y - b.x * a.y
-        cx += (a.x + b.x) * w
-        cy += (a.y + b.y) * w
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        w = ax * by - bx * ay
+        cx += (ax + bx) * w
+        cy += (ay + by) * w
     return Point2(cx / (3.0 * a2), cy / (3.0 * a2))
 
 
@@ -229,24 +232,34 @@ def convex_hull(points: Iterable) -> list[Point2]:
     Collinear points are not retained; fully collinear input yields the two
     extreme points, a single repeated point yields one point.
     """
-    pts = sorted({(p.x, p.y) for p in map(_as_point, points)})
-    if not pts:
+    xy = [(q.x, q.y) for q in map(_as_point, points)]
+    if not xy:
         raise ValueError("convex_hull needs at least one point")
+    return [Point2(x, y) for x, y in _hull(xy)]
+
+
+def _hull(xy: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """`convex_hull` on (x, y) pairs, returning pairs."""
+    pts = sorted(set(xy))
     if len(pts) == 1:
-        return [Point2(*pts[0])]
+        return pts
 
     def half(seq):
         chain: list[tuple[float, float]] = []
         for q in seq:
-            while len(chain) >= 2 and _cross(*chain[-2], *chain[-1], *q) <= 0:
-                chain.pop()
+            qx, qy = q
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 0:
+                    chain.pop()
+                else:
+                    break
             chain.append(q)
         return chain
 
     lower = half(pts)
     upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return [Point2(x, y) for x, y in hull]
+    return lower[:-1] + upper[:-1]
 
 
 def min_bounding_rect(p: Polygon) -> OrientedRect:
@@ -256,26 +269,38 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
     directions are examined.  Area ties are broken by the smaller long-side
     angle; for a square the smaller of the two side angles is reported.
     """
-    hull = convex_hull(p.ring)
+    _, angle, length, width, cx, cy = _min_rect(_ring_xy(p))
+    return OrientedRect(center=Point2(cx, cy), length=length, width=width, angle=angle)
+
+
+def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    """(area, angle, length, width, cx, cy) of `min_bounding_rect` for a ring
+    given as (x, y) pairs."""
+    hull = _hull(xy)
     if len(hull) < 3:
         raise DegeneratePolygon("hull collapsed to a segment")
 
     best = None  # (area, angle, length, width, cx, cy)
-    m = len(hull)
-    for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
-        ex, ey = b.x - a.x, b.y - a.y
+    (x0, y0), rest = hull[0], hull[1:]
+    for (ax, ay), (bx, by) in zip(hull, rest + hull[:1]):
+        ex, ey = bx - ax, by - ay
         elen = math.hypot(ex, ey)
         if elen <= _MERGE_EPS:
             continue
         ux, uy = ex / elen, ey / elen
-        smin = smax = hull[0].x * ux + hull[0].y * uy
-        tmin = tmax = -hull[0].x * uy + hull[0].y * ux
-        for q in hull[1:]:
-            s = q.x * ux + q.y * uy
-            t = -q.x * uy + q.y * ux
-            smin, smax = min(smin, s), max(smax, s)
-            tmin, tmax = min(tmin, t), max(tmax, t)
+        smin = smax = x0 * ux + y0 * uy
+        tmin = tmax = -x0 * uy + y0 * ux
+        for qx, qy in rest:
+            s = qx * ux + qy * uy
+            t = -qx * uy + qy * ux
+            if s < smin:
+                smin = s
+            elif s > smax:
+                smax = s
+            if t < tmin:
+                tmin = t
+            elif t > tmax:
+                tmax = t
         eu, ev = smax - smin, tmax - tmin
         area = eu * ev
         ang_u = math.degrees(math.atan2(uy, ux)) % 180.0
@@ -296,22 +321,21 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
             best = cand
         elif area <= best[0] * (1.0 + 1e-12) and angle < best[1] - 1e-9:
             best = cand
-
-    area, angle, length, width, cx, cy = best
-    return OrientedRect(center=Point2(cx, cy), length=length, width=width, angle=angle)
+    return best
 
 
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
-    area = polygon_area(p)
-    perim = polygon_perimeter(p)
-    rect = min_bounding_rect(p)
-    ratio_lw = rect.length / rect.width
-    ratio_area = min(1.0, area / (rect.length * rect.width))
+    xy = _ring_xy(p)
+    area = _twice_signed_area(xy) / 2.0
+    perim = _perimeter(xy)
+    _, angle, length, width, _, _ = _min_rect(xy)
+    ratio_lw = length / width
+    ratio_area = min(1.0, area / (length * width))
     compact = min(1.0, 4.0 * math.pi * area / (perim * perim))
     return BuildingFeatures(
         area=area,
-        main_direction=rect.angle,
+        main_direction=angle,
         length_width_ratio=ratio_lw,
         area_ratio=ratio_area,
         compactness=compact,

@@ -8,7 +8,6 @@ their eigendecompositions are what the spectral filters operate on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,8 +28,6 @@ WEIGHTINGS = ("binary", "invdist", "gaussian")
 LAPLACIAN_KINDS = ("comb", "sym")
 
 _COINCIDENT_EPS = 1e-9  # meters
-_POWER_MAX_ITER = 10_000
-_POWER_SEED = 20240229
 
 
 @dataclass(frozen=True)
@@ -226,6 +223,79 @@ def _circum_margin(pts, n_real, tri, p) -> float:
     return dist / scale - 1e-12
 
 
+def _triangle_record(pts, n_real, tri) -> tuple:
+    """The terms of `_circum_margin` that do not depend on the query point.
+
+    Kind 0, three real vertices: the counter-clockwise coordinates.  Kind 1,
+    one super vertex: real vertex a, the edge vector to b and the side sign.
+    Kind 2, two super vertices: a, the far pair's direction, the side sign
+    and the direction's length.  Kind 3: the initial super triangle."""
+    supers = [v for v in tri if v >= n_real]
+    if not supers:
+        ax, ay = pts[tri[0]]
+        bx, by = pts[tri[1]]
+        cx, cy = pts[tri[2]]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
+            bx, by, cx, cy = cx, cy, bx, by
+        return (0, ax, ay, bx, by, cx, cy)
+    if len(supers) == 3:
+        return (3,)
+    reals = [v for v in tri if v < n_real]
+    if len(supers) == 1:
+        (a, b), (s,) = reals, supers
+        ax, ay = pts[a]
+        bx, by = pts[b]
+        sx, sy = pts[s]
+        o_s = (bx - ax) * (sy - ay) - (by - ay) * (sx - ax)
+        return (1, ax, ay, bx - ax, by - ay, 1.0 if o_s > 0 else -1.0)
+    (a,), (s1, s2) = reals, supers
+    ax, ay = pts[a]
+    s1x, s1y = pts[s1]
+    s2x, s2y = pts[s2]
+    dx, dy = s2x - s1x, s2y - s1y
+    mx, my = (s1x + s2x) / 2.0, (s1y + s2y) / 2.0
+    o_m = dx * (my - ay) - dy * (mx - ax)
+    return (2, ax, ay, dx, dy, 1.0 if o_m > 0 else -1.0, math.hypot(dx, dy))
+
+
+def _inside(rec, px, py) -> bool:
+    """Exactly `_circum_margin(...) > 0` for the triangle `rec` was made from.
+
+    Same numerator, same float operations.  The margin is that numerator over
+    a positive scale minus 1e-12, so a numerator <= 0 answers False before
+    the scale is computed; `_check_distinct` keeps the scale above zero."""
+    kind = rec[0]
+    if kind == 0:
+        _, ax, ay, bx, by, cx, cy = rec
+        adx, ady = ax - px, ay - py
+        bdx, bdy = bx - px, by - py
+        cdx, cdy = cx - px, cy - py
+        det = (
+            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+        )
+        if not det > 0.0:
+            return False
+        m = max(abs(adx), abs(ady), abs(bdx), abs(bdy), abs(cdx), abs(cdy), 1e-300)
+        return det / (m * m * m * m) - 1e-12 > 0.0
+    if kind == 1:
+        _, ax, ay, ex, ey, side = rec
+        num = side * (ex * (py - ay) - ey * (px - ax))
+        if not num > 0.0:
+            return False
+        scale = max(abs(ex), abs(ey), abs(px - ax), abs(py - ay), 1e-300)
+        return num / (scale * scale) - 1e-12 > 0.0
+    if kind == 2:
+        _, ax, ay, dx, dy, side, length = rec
+        num = side * (dx * (py - ay) - dy * (px - ax))
+        if not num > 0.0:
+            return False
+        scale = max(abs(px - ax), abs(py - ay), 1e-300)
+        return num / length / scale - 1e-12 > 0.0
+    return True
+
+
 def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     """Delaunay triangles as sorted index triples, via incremental insertion.
 
@@ -250,27 +320,31 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
         (cx - r * math.sqrt(3.0) / 2.0, cy - r / 2.0),
         (cx + r * math.sqrt(3.0) / 2.0, cy - r / 2.0),
     ]
-    tris = [(n, n + 1, n + 2)]
+    # live triangles, each beside its in-circle record
+    live = [((n, n + 1, n + 2), (3,))]
 
     for idx in range(n):
-        p = all_pts[idx]
-        margins = [_circum_margin(all_pts, n, t, p) for t in tris]
-        bad = [t for t, mg in zip(tris, margins) if mg > 0.0]
+        px, py = p = all_pts[idx]
+        bad, kept = [], []
+        for item in live:
+            (bad if _inside(item[1], px, py) else kept).append(item)
         if not bad:
             # near-co-circular slivers can push every margin to zero; take
             # the closest call so the point always enters the triangulation
-            bad = [tris[max(range(len(tris)), key=lambda k: margins[k])]]
+            margins = [_circum_margin(all_pts, n, t, p) for t, _ in live]
+            k = max(range(len(live)), key=lambda k: margins[k])
+            bad, kept = [live[k]], live[:k] + live[k + 1 :]
         edge_count: dict[tuple[int, int], int] = {}
-        for t in bad:
+        for t, _ in bad:  # triples are sorted, so each edge is too
             for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-                key = (min(e), max(e))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        boundary = [e for e, k in edge_count.items() if k == 1]
-        tris = [t for t in tris if t not in bad]
-        for u, v in boundary:
-            tris.append(tuple(sorted((u, v, idx))))
+                edge_count[e] = edge_count.get(e, 0) + 1
+        live = kept
+        for (u, v), k in edge_count.items():
+            if k == 1:
+                t = tuple(sorted((u, v, idx)))
+                live.append((t, _triangle_record(all_pts, n, t)))
 
-    real = [t for t in tris if t[2] < n]  # sorted triple: t[2] < n means no super vertex
+    real = [t for t, _ in live if t[2] < n]  # sorted triple: t[2] < n means no super vertex
     return sorted(real)
 
 
@@ -357,7 +431,6 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
         raise ValueError(f"a group needs at least 3 buildings, got {len(polys)}")
     cents = [polygon_centroid(p) for p in polys]
     pts = [(c.x, c.y) for c in cents]
-    _check_distinct(pts)
 
     try:
         base_edges = delaunay_triangulate(pts)
@@ -465,67 +538,3 @@ def eigendecompose(L) -> EigenSystem:
     anchor = np.argmax(np.abs(V), axis=0)
     signs = np.where(V[anchor, np.arange(n)] < 0, -1.0, 1.0)
     return EigenSystem(eigenvalues=lam, eigenvectors=V * signs[None, :])
-
-
-def estimate_lambda_max(L) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from a fixed-seed random vector and stops when successive
-    Rayleigh quotients agree to 1e-10 relative.
-    """
-    A = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
-    n = A.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = None
-    for _ in range(_POWER_MAX_ITER):
-        w = A @ v
-        rq = float(v @ w)
-        if prev is not None and abs(rq - prev) <= 1e-10 * max(abs(rq), 1e-300):
-            return rq
-        prev = rq
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:  # v is in the null space; for PSD this means lambda_max ~ 0
-            return 0.0
-        v = w / norm
-    raise NonConvergence(f"power iteration did not settle in {_POWER_MAX_ITER} iterations")
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def graph_to_json(g: SpatialGraph) -> str:
-    """JSON object with keys n, edges ([[i, j, w], ...]), features, positions."""
-    payload = {
-        "n": g.n,
-        "edges": [[i, j, w] for i, j, w in g.edge_list()],
-        "features": [[float(x) for x in row] for row in g.features],
-        "positions": [[p.x, p.y] for p in g.positions],
-    }
-    return json.dumps(payload)
-
-
-def graph_from_json(text: str) -> SpatialGraph:
-    obj = json.loads(text)
-    n = int(obj["n"])
-    W = np.zeros((n, n))
-    for i, j, w in obj["edges"]:
-        W[int(i), int(j)] = W[int(j), int(i)] = float(w)
-    return SpatialGraph(
-        weights=W,
-        features=np.array(obj["features"], dtype=float),
-        positions=tuple(Point2(x, y) for x, y in obj["positions"]),
-    )
-
-
-def graph_to_dot(g: SpatialGraph) -> str:
-    """Graphviz source with fixed vertex positions, for quick visual checks."""
-    lines = ["graph buildings {", "  node [shape=point];"]
-    for i, p in enumerate(g.positions):
-        lines.append(f'  v{i} [pos="{p.x:.3f},{p.y:.3f}!"];')
-    for i, j, w in g.edge_list():
-        lines.append(f'  v{i} -- v{j} [weight={w:.6g}];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -137,6 +137,17 @@ class TestTrainEvalPredict:
         assert len(lines) == 2
         assert abs(sum(json.loads(lines[0])["probabilities"].values()) - 1.0) <= 1e-9
 
+    def test_predict_on_empty_input_writes_nothing(self, artifacts, tmp_path, capsys):
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("")
+        out_path = tmp_path / "pred.ndjson"
+        assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", empty,
+                   "--out", out_path) == 0
+        assert "wrote 0 predictions" in capsys.readouterr().out
+        assert out_path.read_bytes() == b""
+        assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", empty) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestExitCodes:
     def test_missing_data_file_is_3(self, tmp_path, capsys):
@@ -196,6 +207,17 @@ class TestExitCodes:
         assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", path) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "'twin-block'" in err and "coincide" in err
+
+    @pytest.mark.parametrize("vertex", [["10", "0"], [10, True], [[10], 0]],
+                             ids=["string", "bool", "nested-list"])
+    def test_non_number_coordinate_is_3(self, artifacts, tmp_path, capsys, vertex):
+        ring = [[0, 0], vertex, [10, 10], [0, 10]]
+        others = [{"ring": [[x, 40], [x + 10, 40], [x + 10, 50], [x, 50]]} for x in (0, 30)]
+        path = tmp_path / "typed.ndjson"
+        path.write_text(json.dumps({"id": "typed", "buildings": [{"ring": ring}, *others]}) + "\n")
+        assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", path) == 3
+        err = capsys.readouterr().err
+        assert "line 1" in err and "building 0" in err
 
     def test_divergence_is_4(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",

@@ -201,6 +201,37 @@ class TestNdjsonIO:
         with pytest.raises(InvalidPolygon, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "ring_edit",
+        [
+            lambda ring: ring.__setitem__(1, ["7", "0"]),
+            lambda ring: ring.__setitem__(1, [7, False]),
+            lambda ring: ring.__setitem__(1, [[7], 0]),
+            lambda ring: ring.__setitem__(1, [7, None]),
+            lambda ring: ring.__setitem__(1, [7, 0, 0]),
+            lambda ring: ring.__setitem__(1, 10**400),
+            lambda ring: ring.__setitem__(1, [10**400, 0]),
+        ],
+        ids=["string", "bool", "nested-list", "null", "three-values", "bare-number", "int-overflow"],
+    )
+    def test_non_number_coordinates_rejected(self, tmp_path, ring_edit):
+        # vertex 1 of building 2 is [7, 0]: as "7" or False it would pass
+        # float() inside Point2 and give a valid square; only JSON numbers pass
+        bad = json.loads(self.good_line("g2"))
+        ring_edit(bad["buildings"][2]["ring"])
+        path = self.write_lines(tmp_path, [self.good_line(), json.dumps(bad)])
+        with pytest.raises(InvalidPolygon, match="line 2") as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+        assert "building 2" in str(exc.value)
+
+    def test_string_ring_rejected(self, tmp_path):
+        bad = json.loads(self.good_line())
+        bad["buildings"][0]["ring"] = "0 0 1 0 1 1"
+        path = self.write_lines(tmp_path, [json.dumps(bad)])
+        with pytest.raises(InvalidPolygon, match="building 0"):
+            load_dataset(path)
+
     def test_missing_id_rejected(self, tmp_path):
         bad = json.loads(self.good_line())
         del bad["id"]
