@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     StateError,
     UnknownLabel,
 )
-from .geometry import FEATURE_NAMES, Polygon, extract_features
+from .geometry import FEATURE_NAMES, Polygon
 from .graph import GraphConfig, build_spatial_graph, laplacian
 from .nn import GraphSample
 
@@ -275,29 +275,6 @@ def _mask_indices(feature_mask) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _fit_from_matrix(stacked: np.ndarray) -> Standardizer:
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), _STD_FLOOR)
-    return Standardizer(mean=mean, std=std)
-
-
-def fit_standardizer(dataset: Dataset, train_indices: Iterable[int], feature_mask=None) -> Standardizer:
-    """Statistics over every building in the given training groups only."""
-    cols = _mask_indices(feature_mask)
-    rows = []
-    for i in train_indices:
-        for poly in dataset.groups[i].buildings:
-            feats = extract_features(poly).as_tuple()
-            rows.append([feats[c] for c in cols])
-    if not rows:
-        raise EmptySplit("training split has no buildings to fit on")
-    return _fit_from_matrix(np.array(rows, dtype=float))
-
-
-def apply_standardizer(standardizer: Standardizer, features) -> np.ndarray:
-    return standardizer.transform(features)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generator
 
@@ -512,6 +489,8 @@ def prepare_training_samples(
     """
     if dataset.splits is None:
         raise StateError("dataset has no splits; call split_dataset first")
+    if not dataset.splits.train:
+        raise EmptySplit("training split is empty; the standardizer needs training buildings")
     config = graph_config if graph_config is not None else GraphConfig()
     cols = list(_mask_indices(feature_mask))
 
@@ -522,7 +501,9 @@ def prepare_training_samples(
             graphs[idx] = (group, *_group_graph(group, config, cols))
 
     train_rows = np.vstack([graphs[i][1] for i in dataset.splits.train])
-    standardizer = _fit_from_matrix(train_rows)
+    standardizer = Standardizer(
+        mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
+    )
 
     out: dict[str, list[GraphSample]] = {}
     for name in ("train", "val", "test"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolygon, SelfIntersectingPolygon
@@ -26,18 +27,28 @@ _MIN_AREA = 1e-9
 _MERGE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A planar point in projected meters."""
+class Point2(tuple):
+    """A planar point in projected meters: the pair (x, y) of finite floats.
 
-    x: float
-    y: float
+    It unpacks, compares and hashes as that pair, so every routine below
+    reads coordinates with `x, y = p`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinate ({self.x}, {self.y})")
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite coordinate ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self[0]!r}, y={self[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -72,13 +83,6 @@ class BuildingFeatures:
         )
 
 
-def _as_point(p) -> Point2:
-    if isinstance(p, Point2):
-        return p
-    x, y = p
-    return Point2(x, y)
-
-
 class Polygon:
     """A simple closed ring, stored counter-clockwise without a closing
     duplicate.  Clockwise or explicitly closed input is normalized on
@@ -88,14 +92,13 @@ class Polygon:
     __slots__ = ("ring",)
 
     def __init__(self, ring: Iterable):
-        pts = [_as_point(p) for p in ring]
-        pts = _drop_duplicate_vertices(pts)
+        pts = _drop_duplicate_vertices([Point2(*p) for p in ring])
         if len(pts) < 3:
             raise DegeneratePolygon(f"ring has {len(pts)} distinct vertices, need 3")
         if _all_collinear(pts):
             raise DegeneratePolygon("all vertices collinear")
         _check_simple(pts)
-        signed2 = _twice_signed_area([(q.x, q.y) for q in pts])
+        signed2 = _twice_signed_area(pts)
         if abs(signed2) / 2.0 < _MIN_AREA:
             raise DegeneratePolygon(f"|area| {abs(signed2) / 2.0:g} below {_MIN_AREA:g}")
         if signed2 < 0:
@@ -119,28 +122,27 @@ def _drop_duplicate_vertices(pts: list[Point2]) -> list[Point2]:
         return pts
     out = [pts[0]]
     for p in pts[1:]:
-        q = out[-1]
-        if math.hypot(p.x - q.x, p.y - q.y) > _MERGE_EPS:
+        (px, py), (qx, qy) = p, out[-1]
+        if math.hypot(px - qx, py - qy) > _MERGE_EPS:
             out.append(p)
     # drop explicit closing vertex
-    if len(out) > 1 and math.hypot(out[-1].x - out[0].x, out[-1].y - out[0].y) <= _MERGE_EPS:
+    (lx, ly), (fx, fy) = out[-1], out[0]
+    if len(out) > 1 and math.hypot(lx - fx, ly - fy) <= _MERGE_EPS:
         out.pop()
     return out
 
 
 def _all_collinear(pts: Sequence[Point2]) -> bool:
-    o = pts[0]
-    scale = max(max(abs(p.x - o.x), abs(p.y - o.y)) for p in pts) or 1.0
+    ox, oy = pts[0]
+    scale = max(max(abs(x - ox), abs(y - oy)) for x, y in pts) or 1.0
     tol = 1e-12 * scale * scale
-    a = pts[1]
-    return all(
-        abs(_cross(o.x, o.y, a.x, a.y, p.x, p.y)) <= tol for p in pts[2:]
-    )
+    ax, ay = pts[1]
+    return all(abs(_cross(ox, oy, ax, ay, x, y)) <= tol for x, y in pts[2:])
 
 
-def _twice_signed_area(xy: Sequence[tuple[float, float]]) -> float:
+def _twice_signed_area(ring: Sequence[Point2]) -> float:
     total = 0.0
-    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
         total += ax * by - bx * ay
     return total
 
@@ -156,21 +158,22 @@ def _on_segment(px, py, qx, qy, rx, ry) -> bool:
 
 def _segments_touch(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
     """Whether closed segments p1p2 and p3p4 share any point."""
-    d1 = _cross(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y)
-    d2 = _cross(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y)
-    d3 = _cross(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y)
-    d4 = _cross(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
+    d1 = _cross(x3, y3, x4, y4, x1, y1)
+    d2 = _cross(x3, y3, x4, y4, x2, y2)
+    d3 = _cross(x1, y1, x2, y2, x3, y3)
+    d4 = _cross(x1, y1, x2, y2, x4, y4)
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
         return True
-    if d1 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p1.x, p1.y):
+    if d1 == 0 and _on_segment(x3, y3, x4, y4, x1, y1):
         return True
-    if d2 == 0 and _on_segment(p3.x, p3.y, p4.x, p4.y, p2.x, p2.y):
+    if d2 == 0 and _on_segment(x3, y3, x4, y4, x2, y2):
         return True
-    if d3 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p3.x, p3.y):
+    if d3 == 0 and _on_segment(x1, y1, x2, y2, x3, y3):
         return True
-    if d4 == 0 and _on_segment(p1.x, p1.y, p2.x, p2.y, p4.x, p4.y):
+    if d4 == 0 and _on_segment(x1, y1, x2, y2, x4, y4):
         return True
     return False
 
@@ -181,9 +184,9 @@ def _check_simple(pts: Sequence[Point2]) -> None:
     for i in range(n):
         a1, a2 = pts[i], pts[(i + 1) % n]
         # spike: the next edge folds straight back over this one
-        b = pts[(i + 2) % n]
-        cr = _cross(a1.x, a1.y, a2.x, a2.y, b.x, b.y)
-        dot = (a2.x - a1.x) * (b.x - a2.x) + (a2.y - a1.y) * (b.y - a2.y)
+        (x1, y1), (x2, y2), (bx, by) = a1, a2, pts[(i + 2) % n]
+        cr = _cross(x1, y1, x2, y2, bx, by)
+        dot = (x2 - x1) * (bx - x2) + (y2 - y1) * (by - y2)
         if cr == 0 and dot < 0:
             raise SelfIntersectingPolygon(f"spike at vertex {(i + 1) % n}")
         for j in range(i + 1, n):
@@ -194,58 +197,49 @@ def _check_simple(pts: Sequence[Point2]) -> None:
                 raise SelfIntersectingPolygon(f"edges {i} and {j} intersect")
 
 
-def _ring_xy(p: Polygon) -> list[tuple[float, float]]:
-    return [(q.x, q.y) for q in p.ring]
-
-
-def _perimeter(xy: Sequence[tuple[float, float]]) -> float:
+def _perimeter(ring: Sequence[Point2]) -> float:
     total = 0.0
-    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
         total += math.hypot(bx - ax, by - ay)
     return total
 
 
 def polygon_area(p: Polygon) -> float:
     """Shoelace area; positive because rings are stored counter-clockwise."""
-    return _twice_signed_area(_ring_xy(p)) / 2.0
+    return _twice_signed_area(p.ring) / 2.0
 
 
 def polygon_perimeter(p: Polygon) -> float:
-    return _perimeter(_ring_xy(p))
+    return _perimeter(p.ring)
 
 
 def polygon_centroid(p: Polygon) -> Point2:
     """Area centroid of the footprint."""
-    xy = _ring_xy(p)
-    a2 = _twice_signed_area(xy)
+    ring = p.ring
+    a2 = _twice_signed_area(ring)
     cx = cy = 0.0
-    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
         w = ax * by - bx * ay
         cx += (ax + bx) * w
         cy += (ay + by) * w
     return Point2(cx / (3.0 * a2), cy / (3.0 * a2))
 
 
-def convex_hull(points: Iterable) -> list[Point2]:
-    """Monotone-chain hull in counter-clockwise order.
+def convex_hull(points: Iterable[Point2]) -> list[Point2]:
+    """Monotone-chain hull in counter-clockwise order, made of the given
+    points themselves.
 
     Collinear points are not retained; fully collinear input yields the two
     extreme points, a single repeated point yields one point.
     """
-    xy = [(q.x, q.y) for q in map(_as_point, points)]
-    if not xy:
+    pts = sorted(set(points))
+    if not pts:
         raise ValueError("convex_hull needs at least one point")
-    return [Point2(x, y) for x, y in _hull(xy)]
-
-
-def _hull(xy: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """`convex_hull` on (x, y) pairs, returning pairs."""
-    pts = sorted(set(xy))
     if len(pts) == 1:
         return pts
 
     def half(seq):
-        chain: list[tuple[float, float]] = []
+        chain: list[Point2] = []
         for q in seq:
             qx, qy = q
             while len(chain) >= 2:
@@ -269,14 +263,13 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
     directions are examined.  Area ties are broken by the smaller long-side
     angle; for a square the smaller of the two side angles is reported.
     """
-    _, angle, length, width, cx, cy = _min_rect(_ring_xy(p))
+    _, angle, length, width, cx, cy = _min_rect(p.ring)
     return OrientedRect(center=Point2(cx, cy), length=length, width=width, angle=angle)
 
 
-def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
-    """(area, angle, length, width, cx, cy) of `min_bounding_rect` for a ring
-    given as (x, y) pairs."""
-    hull = _hull(xy)
+def _min_rect(ring: Sequence[Point2]) -> tuple[float, ...]:
+    """(area, angle, length, width, cx, cy) of `min_bounding_rect`."""
+    hull = convex_hull(ring)
     if len(hull) < 3:
         raise DegeneratePolygon("hull collapsed to a segment")
 
@@ -326,10 +319,10 @@ def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
 
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
-    xy = _ring_xy(p)
-    area = _twice_signed_area(xy) / 2.0
-    perim = _perimeter(xy)
-    _, angle, length, width, _, _ = _min_rect(xy)
+    ring = p.ring
+    area = _twice_signed_area(ring) / 2.0
+    perim = _perimeter(ring)
+    _, angle, length, width, _, _ = _min_rect(ring)
     ratio_lw = length / width
     ratio_area = min(1.0, area / (length * width))
     compact = min(1.0, 4.0 * math.pi * area / (perim * perim))

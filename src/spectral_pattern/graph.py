@@ -21,7 +21,7 @@ from .errors import (
     IsolatedVertex,
     NonConvergence,
 )
-from .geometry import Point2, Polygon, extract_features, polygon_centroid
+from .geometry import Point2, Polygon, _all_collinear, extract_features, polygon_centroid
 
 STRUCTURES = ("dt", "mst")
 WEIGHTINGS = ("binary", "invdist", "gaussian")
@@ -149,16 +149,6 @@ def _check_distinct(pts: Sequence[tuple[float, float]]) -> None:
                 raise DuplicatePoints(f"points {i} and {j} coincide within {_COINCIDENT_EPS:g} m")
 
 
-def _collinear_all(pts: Sequence[tuple[float, float]]) -> bool:
-    ox, oy = pts[0]
-    scale = max(max(abs(x - ox), abs(y - oy)) for x, y in pts) or 1.0
-    tol = 1e-12 * scale * scale
-    ax, ay = pts[1]
-    return all(
-        abs((ax - ox) * (y - oy) - (ay - oy) * (x - ox)) <= tol for x, y in pts[2:]
-    )
-
-
 def _circum_margin(pts, n_real, tri, p) -> float:
     """Scale-normalized margin of p against tri's circumcircle; > 0 means
     strictly inside, and points on the circle land at or below 0, which is
@@ -196,12 +186,15 @@ def _circum_margin(pts, n_real, tri, p) -> float:
     reals = [v for v in tri if v < n_real]
     if len(supers) == 1:
         # circle through a, b and a far vertex: in the limit it is the open
-        # half-plane past line ab on the far vertex's side
+        # half-plane past line ab on the far vertex's side, plus the open
+        # segment ab, which lies inside the circle for any far vertex
         (a, b), (s,) = reals, supers
         ax, ay = pts[a]
         bx, by = pts[b]
         sx, sy = pts[s]
         o_p = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        if o_p == 0.0 and _on_open_segment(bx - ax, by - ay, px - ax, py - ay):
+            return math.inf
         o_s = (bx - ax) * (sy - ay) - (by - ay) * (sx - ax)
         side = 1.0 if o_s > 0 else -1.0
         scale = max(abs(bx - ax), abs(by - ay), abs(px - ax), abs(py - ay), 1e-300)
@@ -221,6 +214,12 @@ def _circum_margin(pts, n_real, tri, p) -> float:
     dist = side * o_p / math.hypot(dx, dy)
     scale = max(abs(px - ax), abs(py - ay), 1e-300)
     return dist / scale - 1e-12
+
+
+def _on_open_segment(ex, ey, dx, dy) -> bool:
+    """Whether a point at offset (dx, dy) from a, already known to lie on
+    line ab, lies strictly between a and b = a + (ex, ey)."""
+    return 0.0 < dx * ex + dy * ey < ex * ex + ey * ey
 
 
 def _triangle_record(pts, n_real, tri) -> tuple:
@@ -263,7 +262,8 @@ def _inside(rec, px, py) -> bool:
 
     Same numerator, same float operations.  The margin is that numerator over
     a positive scale minus 1e-12, so a numerator <= 0 answers False before
-    the scale is computed; `_check_distinct` keeps the scale above zero."""
+    the scale is computed (but for a point on the open segment of a kind-1
+    edge, which is inside); `_check_distinct` keeps the scale above zero."""
     kind = rec[0]
     if kind == 0:
         _, ax, ay, bx, by, cx, cy = rec
@@ -283,7 +283,7 @@ def _inside(rec, px, py) -> bool:
         _, ax, ay, ex, ey, side = rec
         num = side * (ex * (py - ay) - ey * (px - ax))
         if not num > 0.0:
-            return False
+            return num == 0.0 and _on_open_segment(ex, ey, px - ax, py - ay)
         scale = max(abs(ex), abs(ey), abs(px - ax), abs(py - ay), 1e-300)
         return num / (scale * scale) - 1e-12 > 0.0
     if kind == 2:
@@ -301,14 +301,15 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
 
     Points are inserted in input order; a point exactly on a circumcircle is
     treated as outside it, so co-circular configurations are resolved by
-    insertion order and the result is deterministic.
+    insertion order and the result is deterministic.  A point exactly on a
+    hull edge, between its ends, is inside the circle past that edge.
     """
-    pts = [(p.x, p.y) if isinstance(p, Point2) else (float(p[0]), float(p[1])) for p in points]
+    pts = [(float(x), float(y)) for x, y in points]
     n = len(pts)
     if n < 3:
         raise ValueError(f"triangulation needs at least 3 points, got {n}")
     _check_distinct(pts)
-    if _collinear_all(pts):
+    if _all_collinear(pts):
         raise CollinearInput("all points collinear")
 
     xs = [p[0] for p in pts]
@@ -429,8 +430,7 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
     polys = list(group)
     if len(polys) < 3:
         raise ValueError(f"a group needs at least 3 buildings, got {len(polys)}")
-    cents = [polygon_centroid(p) for p in polys]
-    pts = [(c.x, c.y) for c in cents]
+    pts = [polygon_centroid(p) for p in polys]
 
     try:
         base_edges = delaunay_triangulate(pts)
@@ -462,7 +462,7 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
         W[i, j] = W[j, i] = w
 
     F = np.array([extract_features(p).as_tuple() for p in polys])
-    return SpatialGraph(weights=W, features=F, positions=tuple(cents))
+    return SpatialGraph(weights=W, features=F, positions=tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +473,18 @@ def _weights_of(g) -> np.ndarray:
     return g.weights if isinstance(g, SpatialGraph) else np.asarray(g, dtype=float)
 
 
+def matrix_of(L) -> np.ndarray:
+    """The array of a LaplacianMatrix, or any other matrix as a float array."""
+    return L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+
+
 def lambda_upper_bound(L) -> float:
     """Gershgorin bound: max over rows of diag + off-diagonal absolute sum.
 
     Exact arithmetic on matrix entries, so it is invariant under vertex
     relabeling, unlike an iterative eigenvalue estimate.
     """
-    A = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+    A = matrix_of(L)
     d = np.diag(A)
     return float(np.max(d + (np.sum(np.abs(A), axis=1) - np.abs(d))))
 
@@ -523,7 +528,7 @@ def eigendecompose(L) -> EigenSystem:
     Eigenvalues ascend.  Eigenvector sign is fixed by making each column's
     largest-magnitude entry positive (first such index on ties).
     """
-    A = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+    A = matrix_of(L)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")

@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     StateError,
 )
-from .graph import GraphConfig, LaplacianMatrix, SpatialGraph, laplacian
+from .graph import GraphConfig, SpatialGraph, laplacian, matrix_of
 
 POOLS = ("mean", "max")
 OPTIMIZERS = ("adam", "sgd")
@@ -180,7 +180,7 @@ class GcnnModel:
 
     def forward(self, L, X, training=False, rng=None, retain=False) -> np.ndarray:
         """Class probabilities for one graph; optionally retains intermediates."""
-        Lv = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+        Lv = matrix_of(L)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.feature_dim:
             raise DimensionMismatch(
@@ -247,7 +247,7 @@ def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.nda
     """Y[:, o] = act( sum_c sum_k theta[k, c, o] L^k X[:, c] + bias[o] )."""
     if activation not in ("relu", "identity"):
         raise ValueError(f"unknown activation {activation!r}")
-    Lv = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+    Lv = matrix_of(L)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != layer.c_in:
         raise DimensionMismatch(f"signal has {X.shape[1]} channels, layer expects {layer.c_in}")
@@ -313,7 +313,7 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     (L, X); raises StateError otherwise.
     """
     cache = model._cache
-    Lv = L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
+    Lv = matrix_of(L)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if cache is None:
         raise StateError("backward needs a preceding forward pass with retain=True")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import EigenSystem, LaplacianMatrix
+from .graph import EigenSystem, matrix_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +57,6 @@ class PolynomialKernel:
 
 def _signal(f) -> np.ndarray:
     return np.asarray(f, dtype=float)
-
-
-def _matrix(L) -> np.ndarray:
-    return L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
 
 
 def gft(f, eig: EigenSystem) -> np.ndarray:
@@ -108,7 +104,7 @@ def polynomial_convolve(f, kernel: PolynomialKernel, L) -> np.ndarray:
     Powers are applied as iterated matrix-vector products; L^k is never
     formed and no eigendecomposition happens.
     """
-    A = _matrix(L)
+    A = matrix_of(L)
     f = _signal(f)
     if f.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"signal has {f.shape[0]} vertices, operator has {A.shape[0]}")
@@ -119,16 +115,3 @@ def polynomial_convolve(f, kernel: PolynomialKernel, L) -> np.ndarray:
         p = A @ p
         y = y + theta[k] * p
     return y
-
-
-def power_stack(L, X, order: int) -> np.ndarray:
-    """Stack [X, L X, L^2 X, ...] of length `order`, shape (order, n, c)."""
-    A = _matrix(L)
-    X = np.atleast_2d(_signal(X))
-    if X.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"signal has {X.shape[0]} vertices, operator has {A.shape[0]}")
-    out = np.empty((order,) + X.shape)
-    out[0] = X
-    for k in range(1, order):
-        out[k] = A @ out[k - 1]
-    return out

@@ -14,8 +14,6 @@ from spectral_pattern.data import (
     Splits,
     Standardizer,
     _allocate,
-    apply_standardizer,
-    fit_standardizer,
     generate_synthetic_dataset,
     load_dataset,
     prepare_inference_samples,
@@ -344,60 +342,65 @@ def square_group(gid, side, label="regular"):
     return BuildingGroup(gid, polys, label)
 
 
+def fitted(groups, train, feature_mask=None):
+    """The standardizer `prepare_training_samples` fits with groups `train`
+    as the training split and the rest as validation."""
+    val = tuple(i for i in range(len(groups)) if i not in train)
+    ds = Dataset(groups, Splits(train=tuple(train), val=val, test=()))
+    return prepare_training_samples(ds, feature_mask=feature_mask)
+
+
 class TestStandardizer:
     def test_fit_matches_manual_stats(self):
-        ds = Dataset([square_group("a", 1.0), square_group("b", 2.0, "irregular"),
-                      square_group("c", 3.0)])
-        std = fit_standardizer(ds, [0, 1])
+        groups = [square_group("a", 1.0), square_group("b", 2.0, "irregular"),
+                  square_group("c", 3.0)]
+        _, std = fitted(groups, [0, 1])
         rows = []
         for i in (0, 1):
-            for poly in ds.groups[i].buildings:
+            for poly in groups[i].buildings:
                 rows.append(extract_features(poly).as_tuple())
         rows = np.array(rows)
         assert np.allclose(std.mean, rows.mean(axis=0), atol=1e-12)
         assert np.allclose(std.std, np.maximum(rows.std(axis=0), 1e-8), atol=1e-12)
 
     def test_training_buildings_only(self):
-        ds1 = Dataset([square_group("a", 1.0), square_group("b", 2.0)])
-        ds2 = Dataset([square_group("a", 1.0), square_group("b", 9.0)])
-        s1 = fit_standardizer(ds1, [0])
-        s2 = fit_standardizer(ds2, [0])
+        _, s1 = fitted([square_group("a", 1.0), square_group("b", 2.0)], [0])
+        _, s2 = fitted([square_group("a", 1.0), square_group("b", 9.0)], [0])
         assert np.array_equal(s1.mean, s2.mean)
         assert np.array_equal(s1.std, s2.std)
 
     def test_transform_normalizes_training_rows(self):
-        ds = Dataset([square_group("a", s) for s in (1.0, 2.0, 5.0)])
-        std = fit_standardizer(ds, [0, 1, 2])
+        groups = [square_group("a", s) for s in (1.0, 2.0, 5.0)]
+        splits, _ = fitted(groups, [0, 1, 2])
         rows = np.array([
-            extract_features(p).as_tuple() for g in ds.groups for p in g.buildings
+            extract_features(p).as_tuple() for g in groups for p in g.buildings
         ])
-        z = apply_standardizer(std, rows)
+        z = np.vstack([s.features for s in splits["train"]])
         assert np.all(np.abs(z.mean(axis=0)) <= 1e-9)
         spread = z.std(axis=0)
         varying = rows.std(axis=0) > 1e-6
         assert np.all(np.abs(spread[varying] - 1.0) <= 1e-9)
 
     def test_constant_feature_hits_std_floor(self):
-        ds = Dataset([square_group("a", 2.0)])
-        std = fit_standardizer(ds, [0])
+        group = square_group("a", 2.0)
+        _, std = fitted([group], [0])
         # identical squares: every feature is constant across the pool
         assert np.all(std.std == 1e-8)
-        z = std.transform(extract_features(ds.groups[0].buildings[0]).as_tuple())
+        z = std.transform(extract_features(group.buildings[0]).as_tuple())
         assert np.all(np.isfinite(z))
 
     def test_empty_split_rejected(self):
-        ds = Dataset([square_group("a", 1.0)])
         with pytest.raises(EmptySplit):
-            fit_standardizer(ds, [])
+            fitted([square_group("a", 1.0)], [])
 
     def test_feature_mask_by_name_and_index(self):
-        ds = Dataset([square_group("a", s) for s in (1.0, 2.0)])
-        by_name = fit_standardizer(ds, [0, 1], feature_mask=("area",))
-        by_index = fit_standardizer(ds, [0, 1], feature_mask=[0])
+        groups = [square_group("a", s) for s in (1.0, 2.0)]
+        _, by_name = fitted(groups, [0, 1], feature_mask=("area",))
+        _, by_index = fitted(groups, [0, 1], feature_mask=[0])
         assert by_name.mean.shape == (1,)
         assert np.array_equal(by_name.mean, by_index.mean)
         with pytest.raises(ValueError, match="unknown feature"):
-            fit_standardizer(ds, [0], feature_mask=("acreage",))
+            fitted(groups, [0], feature_mask=("acreage",))
 
     def test_dimension_mismatch_rejected(self):
         std = Standardizer(mean=np.zeros(5), std=np.ones(5))
@@ -570,12 +573,6 @@ class TestPrepareSamples:
         assert np.all(np.abs(stacked.mean(axis=0)) <= 1e-9)
         spread = stacked.std(axis=0)
         assert np.all((np.abs(spread - 1.0) <= 1e-6) | (spread <= 1e-6))
-
-    def test_standardizer_matches_direct_fit(self, ds):
-        _, std = prepare_training_samples(ds)
-        direct = fit_standardizer(ds, ds.splits.train)
-        assert np.allclose(std.mean, direct.mean, atol=1e-12)
-        assert np.allclose(std.std, direct.std, atol=1e-12)
 
     def test_feature_mask_narrows_columns(self, ds):
         splits, std = prepare_training_samples(ds, feature_mask=("area",))

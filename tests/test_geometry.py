@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,24 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
+class TestPoint2:
+    def test_is_its_xy_pair(self):
+        p = Point2(3, -0.5)
+        x, y = p
+        assert (x, y) == (p.x, p.y) == (3.0, -0.5)
+        assert type(p.x) is float
+        assert p == (3.0, -0.5) and hash(p) == hash((3.0, -0.5))
+        assert repr(p) == "Point2(x=3.0, y=-0.5)"
+        assert pickle.loads(pickle.dumps(p)) == p
+        with pytest.raises(AttributeError):
+            p.x = 1.0
+
+
 class TestPolygonConstruction:
     def test_closing_vertex_dropped(self):
         p = Polygon(UNIT_SQUARE + [(0, 0)])
         assert len(p) == 4
+        assert all(type(q) is Point2 for q in p.ring)
 
     def test_clockwise_input_reversed(self):
         p = Polygon(list(reversed(UNIT_SQUARE)))
@@ -59,6 +74,11 @@ class TestPolygonConstruction:
     def test_nonfinite_coordinate(self):
         with pytest.raises(ValueError):
             Polygon([(0, 0), (1, 0), (float("nan"), 1)])
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                Point2(bad, 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                Point2(0.0, bad)
 
 
 class TestMeasures:
@@ -98,6 +118,7 @@ class TestConvexHull:
         hull = convex_hull([Point2(x, y) for x, y in pts])
         assert {(p.x, p.y) for p in hull} == set(map(tuple, map(lambda t: (float(t[0]), float(t[1])), UNIT_SQUARE)))
         assert len(hull) == 4
+        assert all(type(q) is Point2 for q in hull)
 
     def test_collinear_midpoint_excluded(self):
         hull = convex_hull([Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(1, 1)])

@@ -59,7 +59,7 @@ def circumcircle(a, b, c):
 def hull_boundary_count(pts):
     """Points on the convex hull's boundary, collinear ones included; exact
     rational arithmetic, so grid points on a hull edge all count."""
-    hull = [(h.x, h.y) for h in convex_hull([Point2(*p) for p in pts])]
+    hull = convex_hull([Point2(*p) for p in pts])
     count = 0
     for x, y in pts:
         for (ox, oy), (ax, ay) in zip(hull, hull[1:] + hull[:1]):
@@ -76,15 +76,18 @@ OFFSETS = (0.0, 1e6, 4_321_987.0, 1e7)
 
 def delaunay_point_sets(rng):
     """(family, points) over uniform sets, jittered and exact grids (exact
-    ones co-circular, inserted row by row) and near-collinear sets, each at
-    survey-scale offsets of 0 and 1e6-1e7 m."""
+    ones co-circular, inserted row by row and in shuffled order) and
+    near-collinear sets, each at survey-scale offsets of 0 and 1e6-1e7 m."""
     for off in OFFSETS:
         ox, oy = off, off / 2.0
         n = int(rng.integers(4, 41))
         yield "uniform", [(ox + x, oy + y) for x, y in rng.random((n, 2)) * 100.0]
         rows, cols = (int(v) for v in rng.integers(2, 8, size=2))
         pitch = float(rng.choice([1.0, 2.5, 10.0]))
-        yield "exact grid", [(ox + pitch * i, oy + pitch * j) for i in range(rows) for j in range(cols)]
+        grid = [(ox + pitch * i, oy + pitch * j) for i in range(rows) for j in range(cols)]
+        yield "exact grid", grid
+        # later points land exactly on hull edges between earlier ones
+        yield "shuffled exact grid", [grid[int(k)] for k in rng.permutation(len(grid))]
         jit = rng.uniform(-0.2, 0.2, size=(rows * cols, 2)) * pitch
         yield "jittered grid", [
             (ox + pitch * i + jit[k][0], oy + pitch * j + jit[k][1])
@@ -160,12 +163,10 @@ class TestDelaunay:
             assert len(delaunay_triangulate(pts)) == 3 * n - 3 - k, (family, pts[0])
             assert len(delaunay_triangles(pts)) == 2 * n - 2 - k, (family, pts[0])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a point inserted exactly on the open segment of a hull edge is not "
-        "inside that edge's half-plane test, so the triangle past the edge "
-        "survives and the new triangle on the edge is degenerate"
-    ))
     def test_exact_grid_in_shuffled_order(self):
+        # some points land exactly on the open segment of a hull edge, such
+        # as (0, 1) between (0, 0) and (0, 3), and must split the triangle
+        # past that edge
         pts = [(float(i), float(j)) for i in range(4) for j in range(4)]
         order = [5, 0, 15, 3, 12, 9, 6, 1, 14, 2, 11, 7, 13, 4, 10, 8]
         pts = [pts[i] for i in order]
@@ -193,6 +194,11 @@ class TestDelaunay:
     def test_accepts_point2(self):
         edges = delaunay_triangulate([Point2(0, 0), Point2(1, 0), Point2(0, 1)])
         assert len(edges) == 3
+        # Point2s, tuples and numpy rows are all (x, y) pairs
+        xy = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.2), (0.4, 0.3)]
+        expected = delaunay_triangles(xy)
+        assert delaunay_triangles([Point2(*p) for p in xy]) == expected
+        assert delaunay_triangles(np.array(xy)) == expected
 
 
 _COORD_OFFSET = st.sampled_from(OFFSETS) | st.floats(1e6, 1e7)

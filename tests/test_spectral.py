@@ -12,7 +12,6 @@ from spectral_pattern.spectral import (
     igft,
     kernel_from_polynomial,
     polynomial_convolve,
-    power_stack,
     spectral_convolve,
 )
 
@@ -208,16 +207,3 @@ class TestLinearity:
         lhs2 = polynomial_convolve(f1, ksum, L)
         rhs2 = polynomial_convolve(f1, k1, L) + polynomial_convolve(f1, k2, L)
         assert np.allclose(lhs2, rhs2, atol=1e-10)
-
-
-class TestPowerStack:
-    def test_matches_repeated_products(self, rng):
-        L = laplacian(random_connected_graph(rng, 6), kind="sym", scaled=True)
-        X = rng.standard_normal((6, 2))
-        P = power_stack(L, X, 4)
-        assert P.shape == (4, 6, 2)
-        assert np.array_equal(P[0], X)
-        cur = X
-        for k in range(1, 4):
-            cur = L.values @ cur
-            assert np.allclose(P[k], cur, atol=1e-12)
