@@ -269,7 +269,9 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
 
 def _min_rect(ring: Sequence[Point2]) -> tuple[float, ...]:
     """(area, angle, length, width, cx, cy) of `min_bounding_rect`."""
-    hull = convex_hull(ring)
+    # on plain pairs: the hull and the loops below unpack each point many
+    # times, and CPython unpacks an exact tuple faster than a Point2
+    hull = convex_hull([(x, y) for x, y in ring])
     if len(hull) < 3:
         raise DegeneratePolygon("hull collapsed to a segment")
 

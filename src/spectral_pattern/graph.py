@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,14 @@ from .errors import (
     IsolatedVertex,
     NonConvergence,
 )
-from .geometry import Point2, Polygon, _all_collinear, extract_features, polygon_centroid
+from .geometry import (
+    Point2,
+    Polygon,
+    _all_collinear,
+    _on_segment,
+    extract_features,
+    polygon_centroid,
+)
 
 STRUCTURES = ("dt", "mst")
 WEIGHTINGS = ("binary", "invdist", "gaussian")
@@ -137,172 +145,112 @@ def _connected(W: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Delaunay triangulation (incremental with a super-triangle)
+# Delaunay triangulation (incremental, with one infinite vertex)
+
+_INFINITE = -1  # the vertex every hull edge shares with its triangle outside
+
+# Static error bounds of the float predicates below.  With eps = 2**-53, the
+# float orientation determinant lies within (3 + 16 eps) eps * P of the exact
+# one and the float in-circle determinant within (10 + 96 eps) eps * P, where
+# P is the permanent: the determinant with each product replaced by its
+# absolute value (Shewchuk 1997, "Adaptive Precision Floating-Point
+# Arithmetic and Fast Robust Geometric Predicates", ccwerrboundA and
+# iccerrboundA).  Every rounded coordinate difference is at most
+# D = max(x extent, y extent) of the point set, since rounding is monotone.
+# So P <= 2 D^2 for the orientation (two products of two differences) and
+# P <= 12 D^4 for the in-circle (three lifted lengths of at most 2 D^2, each
+# times two products of at most D^2).  The factors below exceed 2 (3 + 16 eps)
+# eps and 12 (10 + 96 eps) eps by over 0.5%, far more than the rounding of P and
+# of D^k can add; a determinant beyond its bound has the exact sign.
+# `_check_distinct` keeps D >= 7e-10 m, so the bounds stay far above the
+# absolute error that underflow can add.
+_ORIENT_BOUND = 6.7e-16
+_INCIRCLE_BOUND = 1.34e-14
 
 
 def _check_distinct(pts: Sequence[tuple[float, float]]) -> None:
-    n = len(pts)
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            if math.hypot(pts[j][0] - xi, pts[j][1] - yi) < _COINCIDENT_EPS:
-                raise DuplicatePoints(f"points {i} and {j} coincide within {_COINCIDENT_EPS:g} m")
+    """Raises DuplicatePoints for the lowest (i, j) closer than
+    `_COINCIDENT_EPS`.  Only pairs whose x differ by at most twice that
+    are compared, which every closer pair does."""
+    order = sorted(range(len(pts)), key=lambda i: pts[i][0])
+    close = []
+    for s, i in enumerate(order):
+        for t in range(s + 1, len(order)):
+            j = order[t]
+            if pts[j][0] - pts[i][0] > 2.0 * _COINCIDENT_EPS:
+                break
+            a, b = min(i, j), max(i, j)
+            (xa, ya), (xb, yb) = pts[a], pts[b]
+            if math.hypot(xb - xa, yb - ya) < _COINCIDENT_EPS:
+                close.append((a, b))
+    if close:
+        i, j = min(close)
+        raise DuplicatePoints(f"points {i} and {j} coincide within {_COINCIDENT_EPS:g} m")
 
 
-def _circum_margin(pts, n_real, tri, p) -> float:
-    """Scale-normalized margin of p against tri's circumcircle; > 0 means
-    strictly inside, and points on the circle land at or below 0, which is
-    what makes co-circular insertion order decisive.
-
-    Vertices with index >= n_real belong to the super triangle and are
-    treated as points at infinity: their circumcircles degenerate to
-    half-planes.  That keeps every test conditioned at scene scale instead
-    of mixing in the huge super-triangle coordinates."""
-    px, py = p
-    supers = [v for v in tri if v >= n_real]
-
-    if not supers:
-        ax, ay = pts[tri[0]]
-        bx, by = pts[tri[1]]
-        cx, cy = pts[tri[2]]
-        # orient counter-clockwise so the determinant sign is meaningful
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
-            bx, by, cx, cy = cx, cy, bx, by
-        adx, ady = ax - px, ay - py
-        bdx, bdy = bx - px, by - py
-        cdx, cdy = cx - px, cy - py
-        m = max(abs(adx), abs(ady), abs(bdx), abs(bdy), abs(cdx), abs(cdy), 1e-300)
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        m4 = m * m * m * m
-        return det / m4 - 1e-12
-
-    if len(supers) == 3:
-        return math.inf  # the initial super triangle spans the whole scene
-
-    reals = [v for v in tri if v < n_real]
-    if len(supers) == 1:
-        # circle through a, b and a far vertex: in the limit it is the open
-        # half-plane past line ab on the far vertex's side, plus the open
-        # segment ab, which lies inside the circle for any far vertex
-        (a, b), (s,) = reals, supers
-        ax, ay = pts[a]
-        bx, by = pts[b]
-        sx, sy = pts[s]
-        o_p = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if o_p == 0.0 and _on_open_segment(bx - ax, by - ay, px - ax, py - ay):
-            return math.inf
-        o_s = (bx - ax) * (sy - ay) - (by - ay) * (sx - ax)
-        side = 1.0 if o_s > 0 else -1.0
-        scale = max(abs(bx - ax), abs(by - ay), abs(px - ax), abs(py - ay), 1e-300)
-        return side * o_p / (scale * scale) - 1e-12
-
-    # two far vertices and one real vertex a: the limiting circle is the
-    # line through a parallel to the far pair, open toward their midpoint
-    (a,), (s1, s2) = reals, supers
-    ax, ay = pts[a]
-    s1x, s1y = pts[s1]
-    s2x, s2y = pts[s2]
-    dx, dy = s2x - s1x, s2y - s1y
-    o_p = dx * (py - ay) - dy * (px - ax)
-    mx, my = (s1x + s2x) / 2.0, (s1y + s2y) / 2.0
-    o_m = dx * (my - ay) - dy * (mx - ax)
-    side = 1.0 if o_m > 0 else -1.0
-    dist = side * o_p / math.hypot(dx, dy)
-    scale = max(abs(px - ax), abs(py - ay), 1e-300)
-    return dist / scale - 1e-12
+def _predicate_bounds(pts) -> tuple[float, float]:
+    """The `bound` arguments of `_orient` and `_incircle` for points of pts."""
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    return _ORIENT_BOUND * extent * extent, _INCIRCLE_BOUND * extent * extent * extent * extent
 
 
-def _on_open_segment(ex, ey, dx, dy) -> bool:
-    """Whether a point at offset (dx, dy) from a, already known to lie on
-    line ab, lies strictly between a and b = a + (ex, ey)."""
-    return 0.0 < dx * ex + dy * ey < ex * ex + ey * ey
+def _orient(a, b, p, bound) -> int:
+    """Exact sign of the turn a -> b -> p: 1 left, -1 right, 0 collinear.
+
+    `bound` comes from `_predicate_bounds` of a point set holding a, b, p."""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    if det > bound:
+        return 1
+    if det < -bound:
+        return -1
+    (ax, ay), (bx, by), (px, py) = [(Fraction(x), Fraction(y)) for x, y in (a, b, p)]
+    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    return (det > 0) - (det < 0)
 
 
-def _triangle_record(pts, n_real, tri) -> tuple:
-    """The terms of `_circum_margin` that do not depend on the query point.
+def _incircle(a, b, c, p, bound) -> int:
+    """Exact sign of p against the circle through the counter-clockwise
+    triangle abc: 1 strictly inside, -1 strictly outside, 0 on it.
 
-    Kind 0, three real vertices: the counter-clockwise coordinates.  Kind 1,
-    one super vertex: real vertex a, the edge vector to b and the side sign.
-    Kind 2, two super vertices: a, the far pair's direction, the side sign
-    and the direction's length.  Kind 3: the initial super triangle."""
-    supers = [v for v in tri if v >= n_real]
-    if not supers:
-        ax, ay = pts[tri[0]]
-        bx, by = pts[tri[1]]
-        cx, cy = pts[tri[2]]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
-            bx, by, cx, cy = cx, cy, bx, by
-        return (0, ax, ay, bx, by, cx, cy)
-    if len(supers) == 3:
-        return (3,)
-    reals = [v for v in tri if v < n_real]
-    if len(supers) == 1:
-        (a, b), (s,) = reals, supers
-        ax, ay = pts[a]
-        bx, by = pts[b]
-        sx, sy = pts[s]
-        o_s = (bx - ax) * (sy - ay) - (by - ay) * (sx - ax)
-        return (1, ax, ay, bx - ax, by - ay, 1.0 if o_s > 0 else -1.0)
-    (a,), (s1, s2) = reals, supers
-    ax, ay = pts[a]
-    s1x, s1y = pts[s1]
-    s2x, s2y = pts[s2]
-    dx, dy = s2x - s1x, s2y - s1y
-    mx, my = (s1x + s2x) / 2.0, (s1y + s2y) / 2.0
-    o_m = dx * (my - ay) - dy * (mx - ax)
-    return (2, ax, ay, dx, dy, 1.0 if o_m > 0 else -1.0, math.hypot(dx, dy))
-
-
-def _inside(rec, px, py) -> bool:
-    """Exactly `_circum_margin(...) > 0` for the triangle `rec` was made from.
-
-    Same numerator, same float operations.  The margin is that numerator over
-    a positive scale minus 1e-12, so a numerator <= 0 answers False before
-    the scale is computed (but for a point on the open segment of a kind-1
-    edge, which is inside); `_check_distinct` keeps the scale above zero."""
-    kind = rec[0]
-    if kind == 0:
-        _, ax, ay, bx, by, cx, cy = rec
-        adx, ady = ax - px, ay - py
-        bdx, bdy = bx - px, by - py
-        cdx, cdy = cx - px, cy - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        if not det > 0.0:
-            return False
-        m = max(abs(adx), abs(ady), abs(bdx), abs(bdy), abs(cdx), abs(cdy), 1e-300)
-        return det / (m * m * m * m) - 1e-12 > 0.0
-    if kind == 1:
-        _, ax, ay, ex, ey, side = rec
-        num = side * (ex * (py - ay) - ey * (px - ax))
-        if not num > 0.0:
-            return num == 0.0 and _on_open_segment(ex, ey, px - ax, py - ay)
-        scale = max(abs(ex), abs(ey), abs(px - ax), abs(py - ay), 1e-300)
-        return num / (scale * scale) - 1e-12 > 0.0
-    if kind == 2:
-        _, ax, ay, dx, dy, side, length = rec
-        num = side * (dx * (py - ay) - dy * (px - ax))
-        if not num > 0.0:
-            return False
-        scale = max(abs(px - ax), abs(py - ay), 1e-300)
-        return num / length / scale - 1e-12 > 0.0
-    return True
+    `bound` comes from `_predicate_bounds` of a point set holding all four."""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
+    det = (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+    if det < -bound:
+        return -1
+    if det > bound:
+        return 1
+    (adx, ady), (bdx, bdy), (cdx, cdy) = [
+        (Fraction(x) - Fraction(px), Fraction(y) - Fraction(py)) for x, y in (a, b, c)
+    ]
+    det = (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+    return (det > 0) - (det < 0)
 
 
 def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     """Delaunay triangles as sorted index triples, via incremental insertion.
 
-    Points are inserted in input order; a point exactly on a circumcircle is
-    treated as outside it, so co-circular configurations are resolved by
-    insertion order and the result is deterministic.  A point exactly on a
-    hull edge, between its ends, is inside the circle past that edge.
+    The predicates are exact.  Points 0 and 1 and the first point not
+    collinear with them make the first triangle; the rest are inserted in
+    input order.  A point exactly on a circumcircle is treated as outside
+    it, so co-circular configurations are resolved by insertion order and
+    the result is deterministic.  Past each hull edge lies a triangle with
+    the infinite vertex, whose circle is the open half-plane beyond the
+    edge together with the edge's open segment: a point exactly on a hull
+    edge, between its ends, is inside it.
     """
     pts = [(float(x), float(y)) for x, y in points]
     n = len(pts)
@@ -312,41 +260,44 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     if _all_collinear(pts):
         raise CollinearInput("all points collinear")
 
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-    r = max(max(xs) - min(xs), max(ys) - min(ys), 1.0) * 1e4
-    all_pts = pts + [
-        (cx, cy + r),
-        (cx - r * math.sqrt(3.0) / 2.0, cy - r / 2.0),
-        (cx + r * math.sqrt(3.0) / 2.0, cy - r / 2.0),
-    ]
-    # live triangles, each beside its in-circle record
-    live = [((n, n + 1, n + 2), (3,))]
+    orient_bound, incircle_bound = _predicate_bounds(pts)
+    # `_all_collinear` allows far more than rounding error, so some point k
+    # is exactly off the line through points 0 and 1
+    for k in range(2, n):
+        side = _orient(pts[0], pts[1], pts[k], orient_bound)
+        if side:
+            break
+    a, b = (1, k) if side > 0 else (k, 1)
+    # live triangles: (a, b, c) counter-clockwise, or hull triangles
+    # (u, v, _INFINITE) with the outside to the left of u -> v
+    live = [(0, a, b), (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)]
 
-    for idx in range(n):
-        px, py = p = all_pts[idx]
+    for idx in [i for i in range(2, n) if i != k]:
+        p = pts[idx]
         bad, kept = [], []
-        for item in live:
-            (bad if _inside(item[1], px, py) else kept).append(item)
-        if not bad:
-            # near-co-circular slivers can push every margin to zero; take
-            # the closest call so the point always enters the triangulation
-            margins = [_circum_margin(all_pts, n, t, p) for t, _ in live]
-            k = max(range(len(live)), key=lambda k: margins[k])
-            bad, kept = [live[k]], live[:k] + live[k + 1 :]
-        edge_count: dict[tuple[int, int], int] = {}
-        for t, _ in bad:  # triples are sorted, so each edge is too
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-                edge_count[e] = edge_count.get(e, 0) + 1
+        for t in live:
+            u, v, w = t
+            if w != _INFINITE:
+                hit = _incircle(pts[u], pts[v], pts[w], p, incircle_bound) > 0
+            else:
+                side = _orient(pts[u], pts[v], p, orient_bound)
+                hit = side > 0 or side == 0 and _on_segment(*pts[u], *pts[v], *p)
+            (bad if hit else kept).append(t)
+        # every conflicting triangle has p strictly inside its circle, so
+        # the cavity is star-shaped from p: join p to each boundary edge
+        edges = {e for u, v, w in bad for e in ((u, v), (v, w), (w, u))}
         live = kept
-        for (u, v), k in edge_count.items():
-            if k == 1:
-                t = tuple(sorted((u, v, idx)))
-                live.append((t, _triangle_record(all_pts, n, t)))
+        for u, v in edges:
+            if (v, u) in edges:
+                continue
+            if u == _INFINITE:
+                live.append((v, idx, _INFINITE))
+            elif v == _INFINITE:
+                live.append((idx, u, _INFINITE))
+            else:
+                live.append((u, v, idx))
 
-    real = [t for t, _ in live if t[2] < n]  # sorted triple: t[2] < n means no super vertex
-    return sorted(real)
+    return sorted(tuple(sorted(t)) for t in live if t[2] != _INFINITE)
 
 
 def delaunay_triangulate(points: Iterable) -> list[tuple[int, int]]:

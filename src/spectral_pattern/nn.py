@@ -287,17 +287,6 @@ def cross_entropy_loss(probs, label, model: GcnnModel) -> float:
     return -math.log(p) + model.l2_lambda * model.penalty_weight_squares()
 
 
-def dropout_apply(h, rate, rng, training) -> np.ndarray:
-    """Inverted dropout; identity when not training or rate is 0."""
-    h = np.asarray(h, dtype=float)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
-        return h.copy()
-    keep = rng.random(h.shape) >= rate
-    return h * keep / (1.0 - rate)
-
-
 # ---------------------------------------------------------------------------
 # Backward
 

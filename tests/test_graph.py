@@ -15,21 +15,16 @@ from spectral_pattern.errors import (
     IsolatedVertex,
 )
 from spectral_pattern.data import generate_synthetic_dataset
-from spectral_pattern.geometry import (
-    Point2,
-    Polygon,
-    convex_hull,
-    extract_features,
-    polygon_centroid,
-)
+from spectral_pattern.geometry import Point2, Polygon, extract_features, polygon_centroid
 from spectral_pattern.graph import (
     EigenSystem,
     GraphConfig,
     LaplacianMatrix,
     SpatialGraph,
-    _circum_margin,
-    _inside,
-    _triangle_record,
+    _check_distinct,
+    _incircle,
+    _orient,
+    _predicate_bounds,
     build_spatial_graph,
     delaunay_triangles,
     delaunay_triangulate,
@@ -42,29 +37,50 @@ from spectral_pattern.graph import (
 from conftest import random_connected_graph
 
 
-def circumcircle(a, b, c):
-    """Independent circumcenter via the perpendicular-bisector linear system."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    A = np.array([[bx - ax, by - ay], [cx - ax, cy - ay]])
-    rhs = 0.5 * np.array(
-        [bx * bx - ax * ax + by * by - ay * ay, cx * cx - ax * ax + cy * cy - ay * ay]
+def exact_orient(a, b, p):
+    """Sign of the turn a -> b -> p in plain Fraction arithmetic."""
+    (ax, ay), (bx, by), (px, py) = [(Fraction(x), Fraction(y)) for x, y in (a, b, p)]
+    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    return (det > 0) - (det < 0)
+
+
+def exact_incircle(a, b, c, p):
+    """Sign of p against the circle through the counter-clockwise triangle
+    abc (1 inside), in plain Fraction arithmetic: the lifted 3x3 determinant
+    of a, b and c relative to p."""
+    rows = [(Fraction(x) - Fraction(p[0]), Fraction(y) - Fraction(p[1])) for x, y in (a, b, c)]
+    m = [(x, y, x * x + y * y) for x, y in rows]
+    det = sum(
+        m[0][i] * m[1][j] * m[2][k] * s
+        for (i, j, k), s in [
+            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
+        ]
     )
-    center = np.linalg.solve(A, rhs)
-    r = math.hypot(center[0] - ax, center[1] - ay)
-    return center, r
+    return (det > 0) - (det < 0)
 
 
 def hull_boundary_count(pts):
     """Points on the convex hull's boundary, collinear ones included; exact
-    rational arithmetic, so grid points on a hull edge all count."""
-    hull = convex_hull([Point2(*p) for p in pts])
+    rational arithmetic throughout, so grid points on a hull edge all count
+    and near-collinear hull vertices are not lost."""
+    ordered = sorted(set(pts))
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2 and exact_orient(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    hull = chain(ordered) + chain(reversed(ordered))
     count = 0
     for x, y in pts:
         for (ox, oy), (ax, ay) in zip(hull, hull[1:] + hull[:1]):
-            cross = Fraction(ax - ox) * Fraction(y - oy) - Fraction(ay - oy) * Fraction(x - ox)
-            if cross == 0 and min(ox, ax) <= x <= max(ox, ax) and min(oy, ay) <= y <= max(oy, ay):
+            if exact_orient((ox, oy), (ax, ay), (x, y)) == 0 and (
+                min(ox, ax) <= x <= max(ox, ax) and min(oy, ay) <= y <= max(oy, ay)
+            ):
                 count += 1
                 break
     return count
@@ -77,7 +93,9 @@ OFFSETS = (0.0, 1e6, 4_321_987.0, 1e7)
 def delaunay_point_sets(rng):
     """(family, points) over uniform sets, jittered and exact grids (exact
     ones co-circular, inserted row by row and in shuffled order) and
-    near-collinear sets, each at survey-scale offsets of 0 and 1e6-1e7 m."""
+    near-collinear sets, each at survey-scale offsets of 0 and 1e6-1e7 m;
+    then near grids: 10 m grids at 1e6-1e7 m offsets, each coordinate moved
+    by a few ulps, shuffled (their in-circle decisions are all close calls)."""
     for off in OFFSETS:
         ox, oy = off, off / 2.0
         n = int(rng.integers(4, 41))
@@ -101,6 +119,15 @@ def delaunay_point_sets(rng):
             (ox + a * math.cos(ang) - b * math.sin(ang), oy + a * math.sin(ang) + b * math.cos(ang))
             for a, b in zip(along, across)
         ]
+    for off in (1e6, 5e6, 1e7):
+        for jitter in (1e-9, 1e-8, 1e-7):
+            for _ in range(3):
+                rows, cols = (int(v) for v in rng.integers(3, 8, size=2))
+                cells = [(i, j) for i in range(rows) for j in range(cols)]
+                jit = rng.uniform(-jitter, jitter, size=(len(cells), 2))
+                pts = [(off + 10.0 * i + dx, off / 2.0 + 10.0 * j + dy)
+                       for (i, j), (dx, dy) in zip(cells, jit)]
+                yield "near grid", [pts[int(k)] for k in rng.permutation(len(pts))]
 
 
 def squares_at(centers, side=0.2):
@@ -127,6 +154,29 @@ class TestDelaunay:
         with pytest.raises(DuplicatePoints):
             delaunay_triangulate([(0, 0), (1, 0), (1e-10, 1e-10), (0, 1)])
 
+    def test_duplicate_points_name_the_lowest_pair(self):
+        # (1, 3) and (2, 4) coincide, and the x sort meets (2, 4) first;
+        # (0, 5) lie in the same x window but 1.5e-9 m apart
+        pts = [(5.0, 5.0), (3.0, 3.0), (1.0, 0.0), (3.0, 3.0 + 5e-10), (1.0 + 5e-10, 0.0),
+               (5.0 + 1.5e-9, 5.0), (0.0, 1.0)]
+        with pytest.raises(DuplicatePoints, match="points 1 and 3 coincide"):
+            delaunay_triangles(pts)
+
+    def test_duplicate_points_match_the_pairwise_scan(self, rng):
+        # few distinct x values, nudged by less and more than 1e-9 m
+        for _ in range(200):
+            n = int(rng.integers(3, 30))
+            pts = [(float(x) + dx, float(y) + dy) for x, y, dx, dy in zip(
+                rng.integers(0, 3, n), rng.integers(0, 3, n),
+                rng.choice([0.0, 4e-10, -4e-10, 1.2e-9, 2e-9], n), rng.choice([0.0, 3e-10, 8e-10], n))]
+            pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                     if math.hypot(pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]) < 1e-9]
+            if pairs:
+                with pytest.raises(DuplicatePoints, match=f"points {pairs[0][0]} and {pairs[0][1]} "):
+                    _check_distinct(pts)
+            else:
+                _check_distinct(pts)
+
     def test_collinear_points(self):
         with pytest.raises(CollinearInput):
             delaunay_triangulate([(0, 0), (1, 1), (2, 2), (3, 3)])
@@ -136,22 +186,20 @@ class TestDelaunay:
             delaunay_triangulate([(0, 0), (1, 0)])
 
     def test_empty_circumcircle_property(self, rng):
-        # brute-force oracle: no point strictly inside any triangle's circumcircle
+        # brute-force exact oracle: no point strictly inside any triangle's
+        # circumcircle, on the input coordinates and with no tolerance
         sets = [("uniform", [tuple(p) for p in rng.random((int(rng.integers(4, 51)), 2)) * 100.0])
                 for _ in range(20)]
         for family, pts in sets + list(delaunay_point_sets(rng)):
             tris = delaunay_triangles(pts)
             assert tris, family
-            # the oracle runs on coordinates relative to the first point, so
-            # a 1e7 m offset does not swamp the circumcenter solve
-            local = [(x - pts[0][0], y - pts[0][1]) for x, y in pts]
             for t in tris:
-                center, r = circumcircle(*[local[i] for i in t])
+                a, b, c = (pts[i] for i in t)
+                if exact_orient(a, b, c) < 0:
+                    b, c = c, b
                 for k in range(len(pts)):
-                    if k in t:
-                        continue
-                    d = math.hypot(local[k][0] - center[0], local[k][1] - center[1])
-                    assert d >= r * (1.0 - 1e-9), (family, pts[0], t, k)
+                    if k not in t:
+                        assert exact_incircle(a, b, c, pts[k]) <= 0, (family, pts[0], t, k)
 
     def test_euler_edge_count(self, rng):
         # a triangulation of n points with k of them on the hull boundary
@@ -206,13 +254,12 @@ _REL_NUDGE = st.sampled_from([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, -1e-9, 1e
 
 
 @st.composite
-def incircle_cases(draw):
-    """Three real vertices, three far (super) vertices and a query point.
-
-    Shapes: points on and near one circle, slivers with the query near their
-    long edge, and small integer lattices (exactly co-circular and collinear
-    cases)."""
-    shape = draw(st.sampled_from(["circle", "sliver", "lattice"]))
+def predicate_cases(draw):
+    """Three vertices and a query point: points on and near one circle,
+    slivers with the query near their long edge, points on one line (off it
+    only by rounding), and small integer lattices (exactly co-circular and
+    collinear cases)."""
+    shape = draw(st.sampled_from(["circle", "sliver", "line", "lattice"]))
     if shape == "circle":
         r = draw(st.floats(0.5, 500.0))
         angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4))
@@ -229,38 +276,33 @@ def incircle_cases(draw):
             (t * length, height),
             (draw(st.floats(-length, 2.0 * length)), draw(st.floats(-2.0, 2.0)) * height),
         ]
+    elif shape == "line":
+        length = draw(st.floats(1.0, 500.0))
+        ang = draw(st.floats(0.0, 2.0 * math.pi))
+        ts = draw(st.lists(st.floats(-1.0, 2.0), min_size=4, max_size=4))
+        local = [(t * length * math.cos(ang), t * length * math.sin(ang)) for t in ts]
     else:
         pitch = draw(st.sampled_from([1.0, 2.5, 10.0]))
         cells = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
         local = [(pitch * i, pitch * j) for i, j in draw(st.lists(cells, min_size=4, max_size=4))]
     ox, oy = draw(_COORD_OFFSET), draw(_COORD_OFFSET)
     pts = [(ox + x, oy + y) for x, y in local]
-    p = pts.pop()
-    assume(all(math.hypot(p[0] - x, p[1] - y) >= 1e-9 for x, y in pts))
-    far = 1e4 * max(500.0, *(abs(v - w) for q in pts for v, w in zip(q, (ox, oy))))
-    supers = [
-        (ox, oy + far),
-        (ox - far * math.sqrt(3.0) / 2.0, oy - far / 2.0),
-        (ox + far * math.sqrt(3.0) / 2.0, oy - far / 2.0),
-    ]
-    return pts + supers, p
+    assume(len(set(pts)) == 4)
+    return pts
 
 
-class TestInCircleRecords:
+class TestPredicates:
     @settings(max_examples=400, deadline=None)
-    @given(incircle_cases())
-    def test_inside_matches_margin_for_every_record_kind(self, case):
-        # indices 0-2 are real, 3-5 far: the 20 sorted triples cover three
-        # real vertices (kind 0), one far (1), two far (2) and three far (3)
-        pts, p = case
-        for tri in itertools.combinations(range(6), 3):
-            rec = _triangle_record(pts, 3, tri)
-            assert _inside(rec, *p) == (_circum_margin(pts, 3, tri, p) > 0.0), (tri, rec)
-
-    def test_record_kinds(self):
-        pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1e4), (-1e4, -1e4), (1e4, -1e4)]
-        kinds = [_triangle_record(pts, 3, t)[0] for t in [(0, 1, 2), (0, 1, 3), (0, 3, 4), (3, 4, 5)]]
-        assert kinds == [0, 1, 2, 3]
+    @given(predicate_cases())
+    def test_match_plain_fraction_evaluation(self, pts):
+        # the float filter decides most cases and Fraction the close ones;
+        # either way the sign is the exact one
+        orient_bound, incircle_bound = _predicate_bounds(pts)
+        a, b, c, p = pts
+        for u, v, w in itertools.permutations(pts, 3):
+            assert _orient(u, v, w, orient_bound) == exact_orient(u, v, w), (u, v, w)
+        for u, v, w in ((a, b, c), (a, c, b)):
+            assert _incircle(u, v, w, p, incircle_bound) == exact_incircle(u, v, w, p), (u, v, w, p)
 
 
 class TestMst:

@@ -25,7 +25,6 @@ from spectral_pattern.nn import (
     conv_layer_forward,
     cross_entropy_loss,
     dense_softmax_forward,
-    dropout_apply,
     evaluate,
     global_mean_pool,
     load_checkpoint,
@@ -173,22 +172,41 @@ class TestCrossEntropy:
 
 
 class TestDropout:
+    """Inverted dropout on the pooled embedding, seen through the retained
+    forward pass."""
+
+    def forward(self, model, rng, training=True):
+        L = scaled_laplacian(rng, 6)
+        X = rng.standard_normal((6, model.feature_dim))
+        probs = model.forward(L, X, training=training, rng=rng, retain=True)
+        return probs, model._cache
+
     def test_rate_zero_identity(self, rng):
-        h = rng.standard_normal(10)
-        assert np.array_equal(dropout_apply(h, 0.0, rng, training=True), h)
+        model = tiny_model(rng, dropout=0.0)
+        probs, cache = self.forward(model, rng)
+        assert cache.drop_mask is None
+        assert np.array_equal(cache.dropped, cache.pooled)
+        assert np.array_equal(probs, dense_softmax_forward(model.dense, cache.pooled))
 
     def test_inference_identity(self, rng):
-        h = rng.standard_normal(10)
-        assert np.array_equal(dropout_apply(h, 0.9, rng, training=False), h)
+        model = tiny_model(rng, dropout=0.9)
+        probs, cache = self.forward(model, rng, training=False)
+        assert cache.drop_mask is None
+        assert np.array_equal(cache.dropped, cache.pooled)
+        assert np.array_equal(probs, dense_softmax_forward(model.dense, cache.pooled))
 
     def test_expected_value_preserved(self):
+        # kept entries are scaled by 1 / (1 - rate), so the mask averages 1
         rng = np.random.default_rng(3)
-        h = np.array([1.0, -2.0, 3.0])
-        total = np.zeros(3)
-        reps = 100_000
-        for _ in range(reps):
-            total += dropout_apply(h, 0.5, rng, training=True)
-        assert np.max(np.abs(total / reps - h) / np.abs(h)) < 0.02
+        model = tiny_model(rng, channels=(4, 16), dropout=0.5)
+        masks = []
+        for _ in range(2000):
+            _, cache = self.forward(model, rng)
+            assert np.array_equal(cache.dropped, cache.pooled * cache.drop_mask)
+            masks.append(cache.drop_mask)
+        masks = np.array(masks)
+        assert set(np.unique(masks)) == {0.0, 2.0}
+        assert abs(masks.mean() - 1.0) < 0.03
 
 
 class TestBackward:
