@@ -181,12 +181,22 @@ def _restore(checkpoint_path):
         config = GraphConfig(**extra["graph"])
         mask = extra["feature_mask"]
         n_columns = len(_mask_indices(mask))
+        labels = extra.get("labels", list(LABELS))
+        if not (
+            isinstance(labels, list)
+            and len(labels) == model.n_classes
+            and all(isinstance(lab, str) and lab for lab in labels)
+            and len(set(labels)) == len(labels)
+        ):
+            raise ValueError(
+                f"labels must be {model.n_classes} distinct non-empty strings, got {labels!r}"
+            )
     if not (std.mean.shape[0] == n_columns == model.feature_dim):
         raise CheckpointError(
             f"checkpoint standardizer has {std.mean.shape[0]} features and its mask "
             f"selects {n_columns}, but the model expects {model.feature_dim}"
         )
-    return model, extra, std, config, mask
+    return model, extra, std, config, mask, labels
 
 
 def _write_history_csv(history, path) -> None:
@@ -233,7 +243,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, extra, std, config, mask = _restore(args.checkpoint)
+    model, extra, std, config, mask, labels = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
     with _checkpoint_settings():
@@ -243,7 +253,6 @@ def cmd_eval(args) -> int:
     accuracy, confusion = evaluate(model, samples)
     print(f"{args.split} accuracy: {accuracy:.4f} ({len(samples)} groups)")
     print("confusion (rows = true, cols = predicted):")
-    labels = extra.get("labels", list(LABELS))
     width = max(len(l) for l in labels)
     for i, lab in enumerate(labels):
         counts = "  ".join(f"{int(c):5d}" for c in confusion[i])
@@ -252,10 +261,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, extra, std, config, mask = _restore(args.checkpoint)
+    model, _, std, config, mask, labels = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     samples = prepare_inference_samples(dataset.groups, std, config, mask)
-    labels = extra.get("labels", list(LABELS))
     lines = []
     for sample in samples:
         probs = model.forward(sample.laplacian, sample.features)

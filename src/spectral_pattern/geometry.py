@@ -92,13 +92,26 @@ class Polygon:
     __slots__ = ("ring",)
 
     def __init__(self, ring: Iterable):
-        pts = _drop_duplicate_vertices([Point2(*p) for p in ring])
+        # one pass reads the vertices and drops each one within _MERGE_EPS
+        # of the vertex kept before it; the checks run on plain pairs
+        pts, xy = [], []
+        for q in ring:
+            q = Point2(*q)
+            x, y = q[0], q[1]
+            if xy and math.hypot(x - xy[-1][0], y - xy[-1][1]) <= _MERGE_EPS:
+                continue
+            pts.append(q)
+            xy.append((x, y))
+        # drop explicit closing vertex
+        if len(xy) > 1 and math.hypot(xy[-1][0] - xy[0][0], xy[-1][1] - xy[0][1]) <= _MERGE_EPS:
+            pts.pop()
+            xy.pop()
         if len(pts) < 3:
             raise DegeneratePolygon(f"ring has {len(pts)} distinct vertices, need 3")
-        if _all_collinear(pts):
+        if _all_collinear(xy):
             raise DegeneratePolygon("all vertices collinear")
-        _check_simple(pts)
-        signed2 = _twice_signed_area(pts)
+        _check_simple(xy)
+        signed2 = _twice_signed_area(xy)
         if abs(signed2) / 2.0 < _MIN_AREA:
             raise DegeneratePolygon(f"|area| {abs(signed2) / 2.0:g} below {_MIN_AREA:g}")
         if signed2 < 0:
@@ -117,38 +130,33 @@ class Polygon:
         return f"Polygon({len(self.ring)} vertices, area={polygon_area(self):.3f})"
 
 
-def _drop_duplicate_vertices(pts: list[Point2]) -> list[Point2]:
-    if not pts:
-        return pts
-    out = [pts[0]]
-    for p in pts[1:]:
-        (px, py), (qx, qy) = p, out[-1]
-        if math.hypot(px - qx, py - qy) > _MERGE_EPS:
-            out.append(p)
-    # drop explicit closing vertex
-    (lx, ly), (fx, fy) = out[-1], out[0]
-    if len(out) > 1 and math.hypot(lx - fx, ly - fy) <= _MERGE_EPS:
-        out.pop()
-    return out
-
-
-def _all_collinear(pts: Sequence[Point2]) -> bool:
+def _all_collinear(pts: Sequence[tuple[float, float]]) -> bool:
+    """Whether every point lies within 1e-12 * scale^2 (cross product) of
+    the line through the first two; scale is the largest coordinate offset
+    from the first point."""
     ox, oy = pts[0]
-    scale = max(max(abs(x - ox), abs(y - oy)) for x, y in pts) or 1.0
+    scale = 0.0
+    for x, y in pts:
+        dx, dy = abs(x - ox), abs(y - oy)
+        if dx > scale:
+            scale = dx
+        if dy > scale:
+            scale = dy
+    scale = scale or 1.0
     tol = 1e-12 * scale * scale
     ax, ay = pts[1]
-    return all(abs(_cross(ox, oy, ax, ay, x, y)) <= tol for x, y in pts[2:])
+    ex, ey = ax - ox, ay - oy
+    for x, y in pts[2:]:
+        if not abs(ex * (y - oy) - ey * (x - ox)) <= tol:
+            return False
+    return True
 
 
-def _twice_signed_area(ring: Sequence[Point2]) -> float:
+def _twice_signed_area(ring: Sequence[tuple[float, float]]) -> float:
     total = 0.0
     for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
         total += ax * by - bx * ay
     return total
-
-
-def _cross(ox, oy, ax, ay, bx, by) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def _on_segment(px, py, qx, qy, rx, ry) -> bool:
@@ -156,44 +164,36 @@ def _on_segment(px, py, qx, qy, rx, ry) -> bool:
     return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
 
 
-def _segments_touch(p1: Point2, p2: Point2, p3: Point2, p4: Point2) -> bool:
-    """Whether closed segments p1p2 and p3p4 share any point."""
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
-    d1 = _cross(x3, y3, x4, y4, x1, y1)
-    d2 = _cross(x3, y3, x4, y4, x2, y2)
-    d3 = _cross(x1, y1, x2, y2, x3, y3)
-    d4 = _cross(x1, y1, x2, y2, x4, y4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(x3, y3, x4, y4, x1, y1):
-        return True
-    if d2 == 0 and _on_segment(x3, y3, x4, y4, x2, y2):
-        return True
-    if d3 == 0 and _on_segment(x1, y1, x2, y2, x3, y3):
-        return True
-    if d4 == 0 and _on_segment(x1, y1, x2, y2, x4, y4):
-        return True
-    return False
-
-
-def _check_simple(pts: Sequence[Point2]) -> None:
-    """O(n^2) pairwise segment test; footprints are small so this is fine."""
+def _check_simple(pts: Sequence[tuple[float, float]]) -> None:
+    """O(n^2) pairwise test of the closed edges; footprints are small so
+    this is fine.  Raises at the first spike or touching pair of
+    non-adjacent edges, in edge order."""
     n = len(pts)
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
+    edges = [(x1, y1, x2, y2, x2 - x1, y2 - y1)
+             for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1])]
+    for i, (x1, y1, x2, y2, ex, ey) in enumerate(edges):
         # spike: the next edge folds straight back over this one
-        (x1, y1), (x2, y2), (bx, by) = a1, a2, pts[(i + 2) % n]
-        cr = _cross(x1, y1, x2, y2, bx, by)
-        dot = (x2 - x1) * (bx - x2) + (y2 - y1) * (by - y2)
+        bx, by = edges[(i + 1) % n][2:4]
+        cr = ex * (by - y1) - ey * (bx - x1)
+        dot = ex * (bx - x2) + ey * (by - y2)
         if cr == 0 and dot < 0:
             raise SelfIntersectingPolygon(f"spike at vertex {(i + 1) % n}")
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex by construction
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if _segments_touch(a1, a2, b1, b2):
+        # edges i + 1 and, for edge 0, n - 1 share a vertex with edge i
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            x3, y3, x4, y4, fx, fy = edges[j]
+            # orientations of each segment's ends against the other segment
+            d1 = fx * (y1 - y3) - fy * (x1 - x3)
+            d2 = fx * (y2 - y3) - fy * (x2 - x3)
+            d3 = ex * (y3 - y1) - ey * (x3 - x1)
+            d4 = ex * (y4 - y1) - ey * (x4 - x1)
+            if (
+                ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0))
+                and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0))
+                or d1 == 0 and _on_segment(x3, y3, x4, y4, x1, y1)
+                or d2 == 0 and _on_segment(x3, y3, x4, y4, x2, y2)
+                or d3 == 0 and _on_segment(x1, y1, x2, y2, x3, y3)
+                or d4 == 0 and _on_segment(x1, y1, x2, y2, x4, y4)
+            ):
                 raise SelfIntersectingPolygon(f"edges {i} and {j} intersect")
 
 
@@ -216,10 +216,14 @@ def polygon_perimeter(p: Polygon) -> float:
 def polygon_centroid(p: Polygon) -> Point2:
     """Area centroid of the footprint."""
     ring = p.ring
-    a2 = _twice_signed_area(ring)
-    cx = cy = 0.0
-    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+    a2 = cx = cy = 0.0
+    # each vertex unpacked once; a2 sums as in _twice_signed_area
+    bx, by = ring[0]
+    for q in ring[1:] + ring[:1]:
+        ax, ay = bx, by
+        bx, by = q
         w = ax * by - bx * ay
+        a2 += w
         cx += (ax + bx) * w
         cy += (ay + by) * w
     return Point2(cx / (3.0 * a2), cy / (3.0 * a2))
@@ -263,15 +267,16 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
     directions are examined.  Area ties are broken by the smaller long-side
     angle; for a square the smaller of the two side angles is reported.
     """
-    _, angle, length, width, cx, cy = _min_rect(p.ring)
+    _, angle, length, width, cx, cy = _min_rect([(x, y) for x, y in p.ring])
     return OrientedRect(center=Point2(cx, cy), length=length, width=width, angle=angle)
 
 
-def _min_rect(ring: Sequence[Point2]) -> tuple[float, ...]:
-    """(area, angle, length, width, cx, cy) of `min_bounding_rect`."""
-    # on plain pairs: the hull and the loops below unpack each point many
-    # times, and CPython unpacks an exact tuple faster than a Point2
-    hull = convex_hull([(x, y) for x, y in ring])
+def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    """(area, angle, length, width, cx, cy) of `min_bounding_rect` for the
+    ring as plain (x, y) tuples: the hull and the loops below unpack each
+    point many times, and CPython unpacks an exact tuple faster than a
+    Point2."""
+    hull = convex_hull(xy)
     if len(hull) < 3:
         raise DegeneratePolygon("hull collapsed to a segment")
 
@@ -321,10 +326,14 @@ def _min_rect(ring: Sequence[Point2]) -> tuple[float, ...]:
 
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
-    ring = p.ring
-    area = _twice_signed_area(ring) / 2.0
-    perim = _perimeter(ring)
-    _, angle, length, width, _, _ = _min_rect(ring)
+    xy = [(x, y) for x, y in p.ring]
+    # one pass sums what _twice_signed_area and _perimeter sum, in their order
+    area2 = perim = 0.0
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        area2 += ax * by - bx * ay
+        perim += math.hypot(bx - ax, by - ay)
+    area = area2 / 2.0
+    _, angle, length, width, _, _ = _min_rect(xy)
     ratio_lw = length / width
     ratio_area = min(1.0, area / (length * width))
     compact = min(1.0, 4.0 * math.pi * area / (perim * perim))

@@ -99,11 +99,6 @@ class SpatialGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        """Edges (i, j, w) with i < j, sorted by (i, j)."""
-        ii, jj = np.nonzero(np.triu(self.weights, k=1))
-        return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(ii, jj)]
-
 
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
@@ -129,18 +124,17 @@ class EigenSystem:
 
 
 def _connected(W: np.ndarray) -> bool:
+    """Breadth-first search from vertex 0, one frontier per step."""
     n = W.shape[0]
     if n == 0:
         return False
+    A = W != 0
     seen = np.zeros(n, dtype=bool)
-    stack = [0]
     seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(W[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = A[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -251,6 +245,13 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     the infinite vertex, whose circle is the open half-plane beyond the
     edge together with the edge's open segment: a point exactly on a hull
     edge, between its ends, is inside it.
+
+    Each point is located by a visibility walk from the last finite
+    triangle made (Devillers, Pion and Teillaud 2002, "Walking in a
+    triangulation"); its conflict region, the triangles whose circle holds
+    it, is then flooded over neighbours from there.  That region is
+    connected and holds the triangle the walk ends in, so with exact
+    predicates it is the one a test of every triangle would find.
     """
     pts = [(float(x), float(y)) for x, y in points]
     n = len(pts)
@@ -270,32 +271,71 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     a, b = (1, k) if side > 0 else (k, 1)
     # live triangles: (a, b, c) counter-clockwise, or hull triangles
     # (u, v, _INFINITE) with the outside to the left of u -> v
-    live = [(0, a, b), (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)]
+    start = (0, a, b)  # where the next walk begins: the last finite triangle made
+    live = {start, (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)}
+    # every live triangle under each of its directed edges; the one across
+    # edge (u, v) sits under (v, u).  Entries of dead triangles are never
+    # read: the reverse of a live edge is live, and a triangle made later
+    # with the same edge overwrites its entry.
+    across = {}
+    for t in live:
+        u, v, w = t
+        across[u, v] = across[v, w] = across[w, u] = t
+
+    def conflicts(t, p) -> bool:
+        u, v, w = t
+        if w != _INFINITE:
+            return _incircle(pts[u], pts[v], pts[w], p, incircle_bound) > 0
+        side = _orient(pts[u], pts[v], p, orient_bound)
+        return side > 0 or side == 0 and _on_segment(*pts[u], *pts[v], *p)
 
     for idx in [i for i in range(2, n) if i != k]:
-        p = pts[idx]
-        bad, kept = [], []
-        for t in live:
-            u, v, w = t
-            if w != _INFINITE:
-                hit = _incircle(pts[u], pts[v], pts[w], p, incircle_bound) > 0
+        p = px, py = pts[idx]
+        # walk: cross any edge with p strictly to its right, until p lies
+        # in the triangle or past a hull edge.  Delaunay triangulations
+        # admit no cycle of such steps.
+        t, entry = start, None
+        while t[2] != _INFINITE:
+            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                if (v, u) == entry:
+                    continue  # p is on this triangle's side of its entry edge
+                (ux, uy), (vx, vy) = pts[u], pts[v]
+                det = (vx - ux) * (py - uy) - (vy - uy) * (px - ux)
+                if det < -orient_bound or (
+                    det <= orient_bound and _orient(pts[u], pts[v], p, orient_bound) < 0
+                ):
+                    t, entry = across[v, u], (u, v)
+                    break
             else:
-                side = _orient(pts[u], pts[v], p, orient_bound)
-                hit = side > 0 or side == 0 and _on_segment(*pts[u], *pts[v], *p)
-            (bad if hit else kept).append(t)
+                break
+        # flood the conflict region; its boundary edges keep the direction
+        # they have in the cavity triangle
+        cavity, outside, stack, boundary = {t}, set(), [t], []
+        while stack:
+            u, v, w = stack.pop()
+            for e in ((u, v), (v, w), (w, u)):
+                nb = across[e[1], e[0]]
+                if nb in cavity:
+                    continue
+                if nb not in outside and conflicts(nb, p):
+                    cavity.add(nb)
+                    stack.append(nb)
+                else:
+                    outside.add(nb)
+                    boundary.append(e)
         # every conflicting triangle has p strictly inside its circle, so
         # the cavity is star-shaped from p: join p to each boundary edge
-        edges = {e for u, v, w in bad for e in ((u, v), (v, w), (w, u))}
-        live = kept
-        for u, v in edges:
-            if (v, u) in edges:
-                continue
+        live -= cavity
+        for u, v in boundary:
             if u == _INFINITE:
-                live.append((v, idx, _INFINITE))
+                t = (v, idx, _INFINITE)
             elif v == _INFINITE:
-                live.append((idx, u, _INFINITE))
+                t = (idx, u, _INFINITE)
             else:
-                live.append((u, v, idx))
+                t = start = (u, v, idx)
+            live.add(t)
+            u, v, w = t
+            across[u, v] = across[v, w] = across[w, u] = t
 
     return sorted(tuple(sorted(t)) for t in live if t[2] != _INFINITE)
 

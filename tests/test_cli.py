@@ -195,6 +195,25 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
         assert "data error: checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "labels",
+        [["regular"], None, "ri", ["regular", "regular"], ["regular", ""], ["regular", 1]],
+        ids=["one", "null", "string", "repeated", "empty", "number"],
+    )
+    def test_checkpoint_with_bad_labels_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, labels
+    ):
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        settings["labels"] = labels
+        ckpt = tmp_path / "bad-labels.json"
+        save_checkpoint(ckpt, model, settings)
+        out = tmp_path / "out.ndjson"
+        argv = ["--out", out] if command == "predict" else []
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
+        assert "data error: checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_coincident_centroids_name_the_group_and_are_3(self, artifacts, tmp_path, capsys):
         square = {"ring": [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]}
         others = [

@@ -2,7 +2,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_pattern.errors import DegeneratePolygon, SelfIntersectingPolygon
@@ -19,6 +19,140 @@ from spectral_pattern.geometry import (
 )
 
 from conftest import rect_ring, regular_ngon
+
+
+def reference_ring(ring):
+    """The ring `Polygon` stored before its one-pass constructor: three
+    passes over the vertices and the pairwise segment test, kept here as
+    the reference.  Raises what that constructor raised."""
+
+    def cross(ox, oy, ax, ay, bx, by):
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    def on_segment(px, py, qx, qy, rx, ry):
+        return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
+
+    def segments_touch(p1, p2, p3, p4):
+        (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, p3, p4
+        d1 = cross(x3, y3, x4, y4, x1, y1)
+        d2 = cross(x3, y3, x4, y4, x2, y2)
+        d3 = cross(x1, y1, x2, y2, x3, y3)
+        d4 = cross(x1, y1, x2, y2, x4, y4)
+        if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+            (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+        ):
+            return True
+        return (
+            d1 == 0 and on_segment(x3, y3, x4, y4, x1, y1)
+            or d2 == 0 and on_segment(x3, y3, x4, y4, x2, y2)
+            or d3 == 0 and on_segment(x1, y1, x2, y2, x3, y3)
+            or d4 == 0 and on_segment(x1, y1, x2, y2, x4, y4)
+        )
+
+    pts = [Point2(*p) for p in ring]
+    if pts:
+        out = [pts[0]]
+        for p in pts[1:]:
+            (px, py), (qx, qy) = p, out[-1]
+            if math.hypot(px - qx, py - qy) > 1e-12:
+                out.append(p)
+        (lx, ly), (fx, fy) = out[-1], out[0]
+        if len(out) > 1 and math.hypot(lx - fx, ly - fy) <= 1e-12:
+            out.pop()
+        pts = out
+    if len(pts) < 3:
+        raise DegeneratePolygon(f"ring has {len(pts)} distinct vertices, need 3")
+    ox, oy = pts[0]
+    scale = max(max(abs(x - ox), abs(y - oy)) for x, y in pts) or 1.0
+    ax, ay = pts[1]
+    if all(abs(cross(ox, oy, ax, ay, x, y)) <= 1e-12 * scale * scale for x, y in pts[2:]):
+        raise DegeneratePolygon("all vertices collinear")
+    n = len(pts)
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        (x1, y1), (x2, y2), (bx, by) = a1, a2, pts[(i + 2) % n]
+        cr = cross(x1, y1, x2, y2, bx, by)
+        dot = (x2 - x1) * (bx - x2) + (y2 - y1) * (by - y2)
+        if cr == 0 and dot < 0:
+            raise SelfIntersectingPolygon(f"spike at vertex {(i + 1) % n}")
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            if segments_touch(a1, a2, pts[j], pts[(j + 1) % n]):
+                raise SelfIntersectingPolygon(f"edges {i} and {j} intersect")
+    signed2 = 0.0
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        signed2 += ax * by - bx * ay
+    if abs(signed2) / 2.0 < 1e-9:
+        raise DegeneratePolygon(f"|area| {abs(signed2) / 2.0:g} below {1e-9:g}")
+    if signed2 < 0:
+        pts.reverse()
+    return tuple(pts)
+
+
+def construction_outcome(make, ring):
+    """The stored ring, or the type and message of the rejection."""
+    try:
+        return make(ring)
+    except (DegeneratePolygon, SelfIntersectingPolygon, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_OFFSET = st.sampled_from([0.0, 1e6, 4_321_987.0, 1e7]) | st.floats(1e6, 1e7)
+
+
+@st.composite
+def footprint_rings(draw):
+    """Rings with or without the faults the constructor looks for: star
+    shapes (simple), free vertex lists (bowties and other crossings),
+    lattice rings (exactly collinear edges, spikes and touching vertices)
+    and rings along a line off it by a tiny amount; then repeated or
+    nudged vertices, a closing duplicate, a spike or a reversal, and an
+    offset of 0 or 1e6-1e7 m."""
+    kind = draw(st.sampled_from(["star", "free", "lattice", "near-collinear"]))
+    if kind == "star":
+        k = draw(st.integers(3, 10))
+        angles = sorted(draw(st.lists(st.floats(0.0, 6.28), min_size=k, max_size=k)))
+        radii = draw(st.lists(st.floats(0.5, 30.0), min_size=k, max_size=k))
+        local = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+    elif kind == "free":
+        xy = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+        local = draw(st.lists(xy, min_size=3, max_size=9))
+    elif kind == "lattice":
+        pitch = draw(st.sampled_from([1.0, 2.5, 10.0]))
+        cells = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        local = [(pitch * i, pitch * j) for i, j in draw(st.lists(cells, min_size=3, max_size=8))]
+    else:
+        length = draw(st.floats(1.0, 100.0))
+        ang = draw(st.floats(0.0, 3.14))
+        off = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-4]))
+        ts = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(ts), max_size=len(ts)))
+        local = [
+            (t * length * math.cos(ang) - s * off * math.sin(ang),
+             t * length * math.sin(ang) + s * off * math.cos(ang))
+            for t, s in zip(ts, signs)
+        ]
+    for edit in draw(st.lists(st.sampled_from(["repeat", "nudge", "close", "spike", "reverse"]),
+                              max_size=3)):
+        i = draw(st.integers(0, len(local) - 1))
+        x, y = local[i]
+        if edit == "repeat":
+            local.insert(i, (x, y))
+        elif edit == "nudge":
+            d = draw(st.sampled_from([1e-13, 5e-13, 2e-12, 1e-9]))
+            local.insert(i + 1, (x + d, y - d))
+        elif edit == "close":
+            local.append(local[0])
+        elif edit == "spike":
+            # back along the edge into vertex i, exactly or halfway
+            px, py = local[i - 1]
+            t = draw(st.sampled_from([0.5, 1.0]))
+            local.insert(i + 1, (x + t * (px - x), y + t * (py - y)))
+        else:
+            local.reverse()
+    ox, oy = draw(_OFFSET), draw(_OFFSET)
+    return [(ox + x, oy + y) for x, y in local]
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 # L-shape: 2x2 square minus its upper-right 1x1 quadrant
@@ -70,6 +204,17 @@ class TestPolygonConstruction:
     def test_spike_rejected(self):
         with pytest.raises(SelfIntersectingPolygon):
             Polygon([(0, 0), (2, 0), (1, 0), (1, 1)])
+
+    @settings(max_examples=600, deadline=None)
+    @given(footprint_rings())
+    @example([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])  # bowtie
+    @example([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)])  # spike
+    @example([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)])
+    @example([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (2.0, 0.0), (0.0, 4.0)])  # vertex on an edge
+    def test_matches_the_three_pass_constructor(self, ring):
+        # same stored ring, or the same error type and message
+        expected = construction_outcome(reference_ring, ring)
+        assert construction_outcome(lambda r: Polygon(r).ring, ring) == expected
 
     def test_nonfinite_coordinate(self):
         with pytest.raises(ValueError):

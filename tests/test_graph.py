@@ -15,8 +15,17 @@ from spectral_pattern.errors import (
     IsolatedVertex,
 )
 from spectral_pattern.data import generate_synthetic_dataset
-from spectral_pattern.geometry import Point2, Polygon, extract_features, polygon_centroid
+from spectral_pattern import graph
+from spectral_pattern.geometry import (
+    Point2,
+    Polygon,
+    _all_collinear,
+    _on_segment,
+    extract_features,
+    polygon_centroid,
+)
 from spectral_pattern.graph import (
+    _INFINITE,
     EigenSystem,
     GraphConfig,
     LaplacianMatrix,
@@ -60,6 +69,54 @@ def exact_incircle(a, b, c, p):
     return (det > 0) - (det < 0)
 
 
+def scan_delaunay_triangles(points):
+    """Reference Bowyer-Watson that tests every live triangle against each
+    new point: the loop `delaunay_triangles` ran before it walked to the
+    point and flooded its cavity.  Same start, same order, same predicates."""
+    pts = [(float(x), float(y)) for x, y in points]
+    n = len(pts)
+    _check_distinct(pts)
+    assert not _all_collinear(pts)
+    orient_bound, incircle_bound = _predicate_bounds(pts)
+    for k in range(2, n):
+        side = _orient(pts[0], pts[1], pts[k], orient_bound)
+        if side:
+            break
+    a, b = (1, k) if side > 0 else (k, 1)
+    live = [(0, a, b), (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)]
+    for idx in [i for i in range(2, n) if i != k]:
+        p = pts[idx]
+        bad, kept = [], []
+        for t in live:
+            u, v, w = t
+            if w != _INFINITE:
+                hit = _incircle(pts[u], pts[v], pts[w], p, incircle_bound) > 0
+            else:
+                side = _orient(pts[u], pts[v], p, orient_bound)
+                hit = side > 0 or side == 0 and _on_segment(*pts[u], *pts[v], *p)
+            (bad if hit else kept).append(t)
+        edges = {e for u, v, w in bad for e in ((u, v), (v, w), (w, u))}
+        live = kept
+        for u, v in edges:
+            if (v, u) in edges:
+                continue
+            if u == _INFINITE:
+                live.append((v, idx, _INFINITE))
+            elif v == _INFINITE:
+                live.append((idx, u, _INFINITE))
+            else:
+                live.append((u, v, idx))
+    return sorted(tuple(sorted(t)) for t in live if t[2] != _INFINITE)
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """Centroids of 200 groups of 3-128 buildings: the widest spread of
+    group sizes the generator makes."""
+    ds = generate_synthetic_dataset(200, (3, 128), seed=977)
+    return [[tuple(polygon_centroid(p)) for p in g.buildings] for g in ds.groups]
+
+
 def hull_boundary_count(pts):
     """Points on the convex hull's boundary, collinear ones included; exact
     rational arithmetic throughout, so grid points on a hull edge all count
@@ -92,8 +149,9 @@ OFFSETS = (0.0, 1e6, 4_321_987.0, 1e7)
 
 def delaunay_point_sets(rng):
     """(family, points) over uniform sets, jittered and exact grids (exact
-    ones co-circular, inserted row by row and in shuffled order) and
-    near-collinear sets, each at survey-scale offsets of 0 and 1e6-1e7 m;
+    ones co-circular, inserted row by row and in shuffled order), the 32
+    lattice points on one circle in shuffled order, and near-collinear
+    sets, each at survey-scale offsets of 0 and 1e6-1e7 m;
     then near grids: 10 m grids at 1e6-1e7 m offsets, each coordinate moved
     by a few ulps, shuffled (their in-circle decisions are all close calls)."""
     for off in OFFSETS:
@@ -111,6 +169,9 @@ def delaunay_point_sets(rng):
             (ox + pitch * i + jit[k][0], oy + pitch * j + jit[k][1])
             for k, (i, j) in enumerate(itertools.product(range(rows), range(cols)))
         ]
+        circle = [(ox + x, oy + y) for x in range(-33, 34) for y in range(-33, 34)
+                  if x * x + y * y == 1105]
+        yield "co-circular", [circle[int(k)] for k in rng.permutation(len(circle))]
         n = int(rng.integers(4, 31))
         ang = rng.uniform(0.0, math.pi)
         along = np.sort(rng.uniform(0.0, 200.0, size=n))
@@ -128,6 +189,12 @@ def delaunay_point_sets(rng):
                 pts = [(off + 10.0 * i + dx, off / 2.0 + 10.0 * j + dy)
                        for (i, j), (dx, dy) in zip(cells, jit)]
                 yield "near grid", [pts[int(k)] for k in rng.permutation(len(pts))]
+
+
+def edges_of(g):
+    """Edges (i, j, w) of a SpatialGraph with i < j, sorted by (i, j)."""
+    ii, jj = np.nonzero(np.triu(g.weights, 1))
+    return [(int(i), int(j), float(g.weights[i, j])) for i, j in zip(ii, jj)]
 
 
 def squares_at(centers, side=0.2):
@@ -210,6 +277,29 @@ class TestDelaunay:
             n, k = len(pts), hull_boundary_count(pts)
             assert len(delaunay_triangulate(pts)) == 3 * n - 3 - k, (family, pts[0])
             assert len(delaunay_triangles(pts)) == 2 * n - 2 - k, (family, pts[0])
+
+    def test_walk_matches_full_scan(self, rng, wide_corpus):
+        # with exact predicates the flooded cavity is the set of all
+        # conflicting triangles, so the triangulations agree exactly
+        families = list(delaunay_point_sets(rng)) + [("wide corpus", pts) for pts in wide_corpus]
+        for family, pts in families:
+            assert delaunay_triangles(pts) == scan_delaunay_triangles(pts), (family, pts[0])
+
+    def test_incircle_calls_per_point(self, monkeypatch, wide_corpus):
+        # the scan makes about 80 in-circle tests per inserted point on this
+        # corpus; the walk tests only the cavity and its rim
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _incircle(*args)
+
+        monkeypatch.setattr(graph, "_incircle", counted)
+        for pts in wide_corpus:
+            delaunay_triangles(pts)
+        inserted = sum(len(pts) - 3 for pts in wide_corpus)
+        assert calls <= 12 * inserted, calls / inserted
 
     def test_exact_grid_in_shuffled_order(self):
         # some points land exactly on the open segment of a hull edge, such
@@ -365,7 +455,7 @@ class TestBuildSpatialGraph:
     def test_dt_binary(self):
         g = build_spatial_graph(squares_at(self.CORNERS))
         assert g.n == 4
-        edges = g.edge_list()
+        edges = edges_of(g)
         assert len(edges) == 5
         assert all(w == 1.0 for _, _, w in edges)
         assert g.features.shape == (4, 5)
@@ -373,18 +463,18 @@ class TestBuildSpatialGraph:
     def test_mst_binary(self):
         cfg = GraphConfig(structure="mst")
         g = build_spatial_graph(squares_at(self.CORNERS), cfg)
-        edges = [(i, j) for i, j, _ in g.edge_list()]
+        edges = [(i, j) for i, j, _ in edges_of(g)]
         assert len(edges) == 3  # spanning tree over 4 vertices
         # the long diagonal never enters the tree
         assert (0, 2) not in edges and (1, 3) not in edges
         g2 = build_spatial_graph(squares_at(self.CORNERS), cfg)
-        assert [(i, j) for i, j, _ in g2.edge_list()] == edges
+        assert [(i, j) for i, j, _ in edges_of(g2)] == edges
 
     def test_invdist_weights(self):
         g = build_spatial_graph(
             squares_at(self.CORNERS), GraphConfig(weighting="invdist")
         )
-        for i, j, w in g.edge_list():
+        for i, j, w in edges_of(g):
             d = math.hypot(
                 g.positions[i].x - g.positions[j].x, g.positions[i].y - g.positions[j].y
             )
@@ -394,12 +484,12 @@ class TestBuildSpatialGraph:
         g = build_spatial_graph(
             squares_at(self.CORNERS), GraphConfig(weighting="gaussian")
         )
-        for _, _, w in g.edge_list():
+        for _, _, w in edges_of(g):
             assert 0.0 < w <= 1.0
 
     def test_collinear_fallback_path(self):
         g = build_spatial_graph(squares_at([(0, 0), (3, 3), (6, 6), (9, 9), (12, 12)]))
-        edges = [(i, j) for i, j, _ in g.edge_list()]
+        edges = [(i, j) for i, j, _ in edges_of(g)]
         assert len(edges) == 4  # path over 5 vertices
         deg = np.count_nonzero(g.weights, axis=1)
         assert sorted(deg) == [1, 1, 2, 2, 2]
