@@ -104,12 +104,15 @@ def _graph_config(args) -> GraphConfig:
 
 
 def _train_once(dataset, args, order: int, feature_mask=None):
-    """Split -> graphs -> model -> fit.  Returns everything a command needs."""
+    """Split -> graphs -> model -> fit.  Returns everything a command needs.
+
+    The model and the training settings are checked before any graph is
+    built, so a bad flag fails at once.
+    """
     ds = split_dataset(dataset, _parse_ratios(args.split), args.seed)
     config = _graph_config(args)
-    splits, standardizer = prepare_training_samples(ds, config, feature_mask)
     model = build_model(
-        feature_dim=splits["train"][0].features.shape[1],
+        feature_dim=len(_mask_indices(feature_mask)),
         conv_channels=(args.channels,) * args.layers,
         order=order,
         dropout_rate=args.dropout,
@@ -123,6 +126,7 @@ def _train_once(dataset, args, order: int, feature_mask=None):
         seed=args.seed,
         optimizer=args.optimizer,
     )
+    splits, standardizer = prepare_training_samples(ds, config, feature_mask)
     model, history = train(model, splits, train_config)
     return ds, config, splits, standardizer, model, history
 

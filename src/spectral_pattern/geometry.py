@@ -96,11 +96,17 @@ class Polygon:
         # of the vertex kept before it; the checks run on plain pairs
         pts, xy = [], []
         for q in ring:
-            q = Point2(*q)
-            x, y = q[0], q[1]
+            # Point2's checks inline for a list or tuple pair; any other
+            # vertex goes through the constructor, which raises if it is no pair
+            if not isinstance(q, (list, tuple)) or len(q) != 2:
+                q = Point2(*q)
+            x, y = q
+            x, y = float(x), float(y)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite coordinate ({x}, {y})")
             if xy and math.hypot(x - xy[-1][0], y - xy[-1][1]) <= _MERGE_EPS:
                 continue
-            pts.append(q)
+            pts.append(tuple.__new__(Point2, (x, y)))
             xy.append((x, y))
         # drop explicit closing vertex
         if len(xy) > 1 and math.hypot(xy[-1][0] - xy[0][0], xy[-1][1] - xy[0][1]) <= _MERGE_EPS:
@@ -226,7 +232,10 @@ def polygon_centroid(p: Polygon) -> Point2:
         a2 += w
         cx += (ax + bx) * w
         cy += (ay + by) * w
-    return Point2(cx / (3.0 * a2), cy / (3.0 * a2))
+    x, y = cx / (3.0 * a2), cy / (3.0 * a2)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite coordinate ({x}, {y})")
+    return tuple.__new__(Point2, (x, y))
 
 
 def convex_hull(points: Iterable[Point2]) -> list[Point2]:
@@ -303,6 +312,9 @@ def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
                 tmax = t
         eu, ev = smax - smin, tmax - tmin
         area = eu * ev
+        # past the tie band this edge can replace nothing; skip the rest
+        if best is not None and area > best[0] * (1.0 + 1e-12):
+            continue
         ang_u = math.degrees(math.atan2(uy, ux)) % 180.0
         ang_v = (ang_u + 90.0) % 180.0
         if abs(eu - ev) <= 1e-12 * max(eu, ev):
@@ -312,15 +324,13 @@ def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
             angle, length, width = ang_u, eu, ev
         else:
             angle, length, width = ang_v, ev, eu
-        sc, tc = (smin + smax) / 2.0, (tmin + tmax) / 2.0
-        cx, cy = sc * ux - tc * uy, sc * uy + tc * ux
-        cand = (area, angle, length, width, cx, cy)
-        if best is None:
-            best = cand
-        elif area < best[0] * (1.0 - 1e-12):
-            best = cand
-        elif area <= best[0] * (1.0 + 1e-12) and angle < best[1] - 1e-9:
-            best = cand
+        if (
+            best is None
+            or area < best[0] * (1.0 - 1e-12)
+            or area <= best[0] * (1.0 + 1e-12) and angle < best[1] - 1e-9
+        ):
+            sc, tc = (smin + smax) / 2.0, (tmin + tmax) / 2.0
+            best = (area, angle, length, width, sc * ux - tc * uy, sc * uy + tc * ux)
     return best
 
 

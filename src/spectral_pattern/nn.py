@@ -127,8 +127,8 @@ class GcnnModel:
             raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError(f"l2_lambda must be finite and nonnegative, got {self.l2_lambda}")
         for a, b in zip(self.conv_layers, self.conv_layers[1:]):
             if a.c_out != b.c_in:
                 raise ValueError(
@@ -190,7 +190,8 @@ class GcnnModel:
             raise DimensionMismatch("feature rows must match the Laplacian order")
 
         tape = [] if retain else None
-        act = _conv_stack(self.conv_layers, Lv, X, tape)
+        P = _power_stack(Lv, X, self.conv_layers[0].order)
+        act = _conv_stack(self.conv_layers, Lv, P, tape)
         pooled = global_mean_pool(act) if self.pool == "mean" else act.max(axis=0)
 
         mask = None
@@ -221,21 +222,27 @@ class GcnnModel:
 # Forward pieces
 
 
-def _conv_stack(layers, L, X, tape=None) -> np.ndarray:
-    """Runs conv layers over a (B, n, c) stack of signals or one (n, c) signal.
+def _power_stack(L, H, K) -> np.ndarray:
+    """[H, L H, ..., L^(K-1) H] side by side along the channel axis, for a
+    (B, n, c) stack of signals or one (n, c) signal."""
+    powers = [H]
+    for _ in range(1, K):
+        powers.append(L @ powers[-1])
+    return np.concatenate(powers, axis=-1)
 
-    Each layer puts [H, L H, ..., L^(K-1) H] side by side along channels,
-    so one product with theta reshaped to (K*c_in, c_out) applies every
-    coefficient; then bias and ReLU.  When `tape` is a list, each layer's
-    (power stack, pre-activation) pair is appended to it for backward.
+
+def _conv_stack(layers, L, P, tape=None) -> np.ndarray:
+    """Runs conv layers from `P`, the first layer's `_power_stack` of its input.
+
+    With the powers side by side, one product with theta reshaped to
+    (K*c_in, c_out) applies every coefficient of a layer; then bias and
+    ReLU.  When `tape` is a list, each layer's (power stack,
+    pre-activation) pair is appended to it for backward.
     """
-    H = X
-    for layer in layers:
+    for i, layer in enumerate(layers):
         K, c_in, c_out = layer.theta.shape
-        powers = [H]
-        for _ in range(1, K):
-            powers.append(L @ powers[-1])
-        P = np.concatenate(powers, axis=-1)
+        if i:
+            P = _power_stack(L, H, K)
         Z = P @ layer.theta.reshape(K * c_in, c_out) + layer.bias
         if tape is not None:
             tape.append((P, Z))
@@ -254,7 +261,7 @@ def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.nda
     if X.shape[0] != Lv.shape[0]:
         raise DimensionMismatch(f"signal has {X.shape[0]} vertices, operator has {Lv.shape[0]}")
     tape = []
-    Y = _conv_stack([layer], Lv, X, tape)
+    Y = _conv_stack([layer], Lv, _power_stack(Lv, X, layer.order), tape)
     return Y if activation == "relu" else tape[0][1]
 
 
@@ -262,7 +269,7 @@ def global_mean_pool(X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("cannot pool an empty signal")
-    return X.mean(axis=0)
+    return np.add.reduce(X, axis=0) / X.shape[0]  # what X.mean(axis=0) computes
 
 
 def dense_softmax_forward(layer: DenseLayer, h) -> np.ndarray:
@@ -274,8 +281,10 @@ def dense_softmax_forward(layer: DenseLayer, h) -> np.ndarray:
 
 def _softmax(logits) -> np.ndarray:
     """Softmax along the last axis, shifted by the row maximum for stability."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # the ufunc reductions that ndarray.max and .sum run, without their
+    # Python-level wrappers
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def cross_entropy_loss(probs, label, model: GcnnModel) -> float:
@@ -320,14 +329,14 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     dlogits[label] -= 1.0
 
     dense = model.dense
-    d_w = np.outer(cache.dropped, dlogits) + 2.0 * model.l2_lambda * dense.weights
+    d_w = cache.dropped[:, None] * dlogits + 2.0 * model.l2_lambda * dense.weights
     d_b = dlogits.copy()
     dh = dense.weights @ dlogits
     if cache.drop_mask is not None:
         dh = dh * cache.drop_mask
 
     if model.pool == "mean":
-        dY = np.broadcast_to(dh / n, cache.last_act.shape)
+        dY = dh / n  # the same row for every vertex, broadcast in dZ below
     else:
         dY = np.zeros_like(cache.last_act)
         dY[np.argmax(cache.last_act, axis=0), np.arange(dY.shape[1])] = dh
@@ -339,7 +348,7 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
         P, Z = cache.tape[i]
         dZ = dY * (Z > 0.0)
         d_theta = (P.T @ dZ).reshape(K, c_in, c_out) + 2.0 * model.l2_lambda * layer.theta
-        d_bias = dZ.sum(axis=0)
+        d_bias = np.add.reduce(dZ, axis=0)
         grads.append(d_bias)
         grads.append(d_theta)
         if i > 0:
@@ -375,8 +384,10 @@ class TrainConfig:
     early_stop_patience: int = 20
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -385,8 +396,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("adam betas must be in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.early_stop_patience < 1:
@@ -488,13 +499,23 @@ def build_model(
     return GcnnModel(layers, dense, pool=pool, dropout_rate=dropout_rate, l2_lambda=l2_lambda)
 
 
-def _inference_probs(model: GcnnModel, samples: Sequence[GraphSample]) -> np.ndarray:
-    """(N, n_classes) probabilities with dropout off, rows in sample order.
+@dataclass(frozen=True, eq=False)
+class _Bucket:
+    """Up to _BUCKET samples of one split, zero-padded to the largest graph
+    among them: all the metrics pass needs that the parameters do not touch."""
 
-    Samples are sorted by vertex count and run through the conv stack in
-    buckets of _BUCKET, zero-padded to the largest graph in the bucket.
+    rows: np.ndarray  # positions of the samples in their split
+    L: np.ndarray  # (B, n_max, n_max) Laplacians
+    stack: np.ndarray  # (B, n_max, K*c_in) first-layer power stacks
+    real: np.ndarray  # (B, n_max, 1): 1 on a real vertex, 0 on padding
+    counts: np.ndarray  # (B, 1) real vertices per graph
+
+
+def _buckets(model: GcnnModel, samples: Sequence[GraphSample]) -> list[_Bucket]:
+    """Sorts samples by vertex count and pads them in buckets of _BUCKET.
+
     Padded rows and columns of L are zero, so padded vertices never reach
-    real ones; only pooling has to leave them out.  Nothing is retained.
+    real ones; only pooling has to leave them out.
     """
     sizes = [s.features.shape[0] for s in samples]
     for s, n in zip(samples, sizes):
@@ -504,23 +525,36 @@ def _inference_probs(model: GcnnModel, samples: Sequence[GraphSample]) -> np.nda
                 f"{s.laplacian.shape} do not fit a model with {model.feature_dim} channels"
             )
     order = np.argsort(sizes, kind="stable")
-    probs = np.empty((len(samples), model.n_classes))
+    K = model.conv_layers[0].order
+    buckets = []
     for start in range(0, len(order), _BUCKET):
-        bucket = order[start : start + _BUCKET]
-        n_max = sizes[bucket[-1]]
-        L = np.zeros((len(bucket), n_max, n_max))
-        X = np.zeros((len(bucket), n_max, model.feature_dim))
-        real = np.zeros((len(bucket), n_max, 1))
-        for b, i in enumerate(bucket):
+        rows = order[start : start + _BUCKET]
+        n_max = sizes[rows[-1]]
+        L = np.zeros((len(rows), n_max, n_max))
+        X = np.zeros((len(rows), n_max, model.feature_dim))
+        real = np.zeros((len(rows), n_max, 1))
+        for b, i in enumerate(rows):
             n = sizes[i]
             L[b, :n, :n] = samples[i].laplacian
             X[b, :n] = samples[i].features
             real[b, :n] = 1.0
+        buckets.append(_Bucket(rows, L, _power_stack(L, X, K), real, real.sum(axis=1)))
+    return buckets
+
+
+def _inference_probs(model: GcnnModel, buckets: Sequence[_Bucket]) -> np.ndarray:
+    """(N, n_classes) probabilities with dropout off, rows in sample order.
+
+    Runs the parameter-dependent layers over buckets from `_buckets` for
+    this model's architecture.  Nothing is retained.
+    """
+    probs = np.empty((sum(len(b.rows) for b in buckets), model.n_classes))
+    for b in buckets:
         # padded rows become zero; after ReLU every real entry is >= 0, so
         # zeros there change no maximum either
-        H = _conv_stack(model.conv_layers, L, X) * real
-        pooled = H.sum(axis=1) / real.sum(axis=1) if model.pool == "mean" else H.max(axis=1)
-        probs[bucket] = _softmax(pooled @ model.dense.weights + model.dense.bias)
+        H = _conv_stack(model.conv_layers, b.L, b.stack) * b.real
+        pooled = H.sum(axis=1) / b.counts if model.pool == "mean" else H.max(axis=1)
+        probs[b.rows] = _softmax(pooled @ model.dense.weights + model.dense.bias)
     return probs
 
 
@@ -533,10 +567,11 @@ def _labels(samples: Sequence[GraphSample], n_classes: int) -> np.ndarray:
     return labels
 
 
-def _split_metrics(model: GcnnModel, samples) -> tuple[float, float]:
-    """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off."""
+def _split_metrics(model: GcnnModel, samples, buckets) -> tuple[float, float]:
+    """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off;
+    `buckets` are `_buckets(model, samples)`."""
     labels = _labels(samples, model.n_classes)
-    probs = _inference_probs(model, samples)
+    probs = _inference_probs(model, buckets)
     p_true = np.clip(probs[np.arange(len(samples)), labels], _PROB_FLOOR, 1.0)
     loss = -float(np.mean(np.log(p_true))) + model.l2_lambda * model.penalty_weight_squares()
     return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
@@ -557,6 +592,9 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
     if not val_set:
         raise EmptySplit("validation split is empty")
 
+    # padded once: the metrics pass of every epoch reuses them
+    train_buckets = _buckets(model, train_set)
+    val_buckets = _buckets(model, val_set)
     rng = np.random.default_rng(config.seed)
     params = [p.copy() for p in model.parameters()]
     state = optimizer_init(params, config)
@@ -587,8 +625,8 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
                 model.set_parameters(params)
                 params = model.parameters()
 
-            tr_loss, tr_acc = _split_metrics(model, train_set)
-            va_loss, va_acc = _split_metrics(model, val_set)
+            tr_loss, tr_acc = _split_metrics(model, train_set, train_buckets)
+            va_loss, va_acc = _split_metrics(model, val_set, val_buckets)
         if not (math.isfinite(tr_loss) and math.isfinite(va_loss)):
             raise DivergedLoss(
                 f"non-finite loss at epoch {epoch + 1} (train {tr_loss}, val {va_loss})"
@@ -621,7 +659,7 @@ def evaluate(model: GcnnModel, samples: Sequence[GraphSample]):
     c = model.n_classes
     confusion = np.zeros((c, c), dtype=int)
     labels = _labels(samples, c)
-    predicted = np.argmax(_inference_probs(model, samples), axis=1)
+    predicted = np.argmax(_inference_probs(model, _buckets(model, samples)), axis=1)
     np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion)) / len(samples)
     return accuracy, confusion

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spectral_pattern import cli
 from spectral_pattern.cli import ExperimentReport, main
 from spectral_pattern.data import generate_synthetic_dataset, save_dataset
 from spectral_pattern.nn import load_checkpoint, save_checkpoint
@@ -250,6 +251,24 @@ class TestExitCodes:
                  "--split", "0.5,0.5", *FAST)
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "sweep-k", "ablate-features"])
+    @pytest.mark.parametrize(
+        "flag",
+        [("--batch", "0"), ("--dropout", "1"), ("--lr", "nan"), ("--lr", "inf"),
+         ("--l2", "nan"), ("--l2", "inf"), ("--epochs", "0")],
+    )
+    def test_bad_training_flag_is_2_before_any_graph_is_built(
+        self, data_path, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        built = []
+        monkeypatch.setattr(cli, "prepare_training_samples", lambda *a: built.append(a))
+        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+        rc = run(command, "--data", data_path, *out, *FAST, *flag)
+        assert rc == 2
+        assert built == []
+        assert not (tmp_path / "out").exists()
+        assert "usage error" in capsys.readouterr().err
 
     def test_insufficient_class_is_3(self, tmp_path, capsys):
         ds = generate_synthetic_dataset(n_groups=4, size_range=(3, 4), seed=23)

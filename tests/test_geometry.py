@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from spectral_pattern.geometry import (
     polygon_centroid,
     polygon_perimeter,
 )
+from spectral_pattern.geometry import _min_rect
 
 from conftest import rect_ring, regular_ngon
 
@@ -152,7 +154,16 @@ def footprint_rings(draw):
         else:
             local.reverse()
     ox, oy = draw(_OFFSET), draw(_OFFSET)
-    return [(ox + x, oy + y) for x, y in local]
+    ring = [(ox + x, oy + y) for x, y in local]
+    if draw(st.integers(0, 5)) == 0:
+        # a vertex that is not a pair of finite numbers, or a pair of strings
+        x, y = ring[0]
+        bad = draw(st.sampled_from([
+            (x,), (x, y, 0.0), [], x, None, "xy", "12", [str(x), str(y)],
+            (x, math.nan), (math.inf, y), (x, -math.inf), (None, y), [True, y],
+        ]))
+        ring[draw(st.integers(0, len(ring) - 1))] = bad
+    return ring
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 # L-shape: 2x2 square minus its upper-right 1x1 quadrant
@@ -215,6 +226,17 @@ class TestPolygonConstruction:
         # same stored ring, or the same error type and message
         expected = construction_outcome(reference_ring, ring)
         assert construction_outcome(lambda r: Polygon(r).ring, ring) == expected
+
+    def test_other_vertex_types_go_through_point2(self):
+        # one-shot iterators and arrays: the same point or the same error
+        for make in (
+            lambda: iter([0.5, 1.0]), lambda: iter([0.5, 1.0, 2.0]), lambda: iter([0.5]),
+            lambda: (v for v in ("0.5", "nan")), lambda: np.array([0.5, 1.0]),
+            lambda: np.array([0.5, 1.0, 2.0]), lambda: 0.5,
+        ):
+            want = construction_outcome(lambda q: Point2(*q), make())
+            got = construction_outcome(lambda r: Polygon(r).ring[2], [(0.0, 0.0), (1.0, 0.0), make()])
+            assert got == want
 
     def test_nonfinite_coordinate(self):
         with pytest.raises(ValueError):
@@ -283,7 +305,88 @@ class TestConvexHull:
         assert area2 > 0
 
 
+def reference_min_rect(xy):
+    """`_min_rect` before it skipped edges past the tie band: every hull
+    edge gets its angle and centre.  Kept here as the reference."""
+    hull = convex_hull(xy)
+    best = None
+    (x0, y0), rest = hull[0], hull[1:]
+    for (ax, ay), (bx, by) in zip(hull, rest + hull[:1]):
+        ex, ey = bx - ax, by - ay
+        elen = math.hypot(ex, ey)
+        if elen <= 1e-12:
+            continue
+        ux, uy = ex / elen, ey / elen
+        smin = smax = x0 * ux + y0 * uy
+        tmin = tmax = -x0 * uy + y0 * ux
+        for qx, qy in rest:
+            s = qx * ux + qy * uy
+            t = -qx * uy + qy * ux
+            if s < smin:
+                smin = s
+            elif s > smax:
+                smax = s
+            if t < tmin:
+                tmin = t
+            elif t > tmax:
+                tmax = t
+        eu, ev = smax - smin, tmax - tmin
+        area = eu * ev
+        ang_u = math.degrees(math.atan2(uy, ux)) % 180.0
+        ang_v = (ang_u + 90.0) % 180.0
+        if abs(eu - ev) <= 1e-12 * max(eu, ev):
+            angle = min(ang_u, ang_v)
+            length, width = max(eu, ev), min(eu, ev)
+        elif eu > ev:
+            angle, length, width = ang_u, eu, ev
+        else:
+            angle, length, width = ang_v, ev, eu
+        sc, tc = (smin + smax) / 2.0, (tmin + tmax) / 2.0
+        cx, cy = sc * ux - tc * uy, sc * uy + tc * ux
+        cand = (area, angle, length, width, cx, cy)
+        if best is None:
+            best = cand
+        elif area < best[0] * (1.0 - 1e-12):
+            best = cand
+        elif area <= best[0] * (1.0 + 1e-12) and angle < best[1] - 1e-9:
+            best = cand
+    return best
+
+
+@st.composite
+def rect_test_rings(draw):
+    """Squares and rectangles (every edge ties in area), L-shapes and the
+    footprints of `footprint_rings`, turned by any angle or a round one
+    and moved by 0 or 1e6-1e7 m."""
+    kind = draw(st.sampled_from(["square", "rect", "l-shape", "footprint"]))
+    if kind == "footprint":
+        ring = draw(footprint_rings())
+        try:
+            return [(x, y) for x, y in Polygon(ring).ring]
+        except (DegeneratePolygon, SelfIntersectingPolygon, ValueError, TypeError):
+            return None
+    ang = draw(st.floats(0.0, 360.0) | st.sampled_from([0.0, 30.0, 45.0, 90.0, 135.0, 180.0]))
+    size = draw(st.floats(0.5, 50.0))
+    ox, oy = draw(_OFFSET), draw(_OFFSET)
+    if kind == "square":
+        return rect_ring(ox, oy, size, size, ang)
+    if kind == "rect":
+        return rect_ring(ox, oy, size, size * draw(st.floats(0.1, 1.0)), ang)
+    a = math.radians(ang)
+    ca, sa = math.cos(a), math.sin(a)
+    return [(ox + size * (x * ca - y * sa), oy + size * (x * sa + y * ca)) for x, y in L_SHAPE]
+
+
 class TestMinBoundingRect:
+    @settings(max_examples=400, deadline=None)
+    @given(rect_test_rings())
+    @example([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    @example([(1.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
+    def test_matches_the_loop_over_every_edge(self, xy):
+        if xy is None:
+            return
+        assert _min_rect(xy) == reference_min_rect(xy)
+
     def test_axis_aligned_rect(self):
         r = min_bounding_rect(Polygon(rect_ring(3, 4, 2, 1, 0)))
         assert r.length == pytest.approx(2.0)

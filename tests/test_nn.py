@@ -34,7 +34,14 @@ from spectral_pattern.nn import (
     save_checkpoint,
     train,
 )
-from spectral_pattern.nn import _BUCKET, _conv_stack, _inference_probs, _split_metrics
+from spectral_pattern.nn import (
+    _BUCKET,
+    _buckets,
+    _conv_stack,
+    _inference_probs,
+    _power_stack,
+    _split_metrics,
+)
 from spectral_pattern.spectral import PolynomialKernel, polynomial_convolve
 
 from conftest import random_connected_graph
@@ -383,6 +390,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
 
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestTrain:
     def test_empty_split_rejected(self, rng):
@@ -429,8 +442,9 @@ class TestTrain:
         m, hist = train(model, splits, TrainConfig(epochs=12, seed=0, batch_size=4))
         assert hist.best_epoch >= 0
         _, acc_at_best = None, None
-        loss, _ = _split_metrics(m, splits["val"])
-        assert loss == pytest.approx(hist.val_loss[hist.best_epoch], abs=1e-9)
+        # fresh buckets here, the ones train built once there: equal bit for bit
+        loss, _ = _split_metrics(m, splits["val"], _buckets(m, splits["val"]))
+        assert loss == hist.val_loss[hist.best_epoch]
 
     def test_diverged_loss_raises(self):
         rng = np.random.default_rng(400)
@@ -475,6 +489,14 @@ def per_sample_metrics(model, samples):
     return loss / len(samples), hits / len(samples)
 
 
+def batched_probs(model, samples):
+    return _inference_probs(model, _buckets(model, samples))
+
+
+def conv_stack(model, L, X):
+    return _conv_stack(model.conv_layers, L, _power_stack(L, X, model.conv_layers[0].order))
+
+
 class TestBatchedInference:
     def bucket(self, rng):
         # one bucket whose graphs have many different vertex counts, with
@@ -496,9 +518,9 @@ class TestBatchedInference:
         samples = self.bucket(rng)
         model = self.model(rng, pool=pool, l2=1e-3)
         probs = np.array([model.forward(s.laplacian, s.features) for s in samples])
-        assert np.max(np.abs(_inference_probs(model, samples) - probs)) <= 1e-12
+        assert np.max(np.abs(batched_probs(model, samples) - probs)) <= 1e-12
 
-        loss, acc = _split_metrics(model, samples)
+        loss, acc = _split_metrics(model, samples, _buckets(model, samples))
         want_loss, want_acc = per_sample_metrics(model, samples)
         assert abs(loss - want_loss) <= 1e-12
         assert acc == want_acc
@@ -515,11 +537,11 @@ class TestBatchedInference:
     def test_padding_and_bucket_order_change_no_probabilities(self, rng, pool):
         samples = self.bucket(rng)
         model = self.model(rng, pool=pool)
-        probs = _inference_probs(model, samples)
-        alone = np.vstack([_inference_probs(model, [s]) for s in samples])  # nothing padded
+        probs = batched_probs(model, samples)
+        alone = np.vstack([batched_probs(model, [s]) for s in samples])  # nothing padded
         assert np.max(np.abs(probs - alone)) <= 1e-12
         perm = rng.permutation(len(samples))
-        shuffled = _inference_probs(model, [samples[i] for i in perm])
+        shuffled = batched_probs(model, [samples[i] for i in perm])
         assert np.max(np.abs(shuffled - probs[perm])) <= 1e-12
 
     def test_zero_rows_and_columns_leave_real_vertices_unchanged(self, rng):
@@ -530,8 +552,8 @@ class TestBatchedInference:
         L[:n, :n] = s.laplacian
         X = np.zeros((n + pad, 3))
         X[:n] = s.features
-        want = _conv_stack(model.conv_layers, s.laplacian, s.features)
-        assert np.max(np.abs(_conv_stack(model.conv_layers, L, X)[:n] - want)) <= 1e-12
+        want = conv_stack(model, s.laplacian, s.features)
+        assert np.max(np.abs(conv_stack(model, L, X)[:n] - want)) <= 1e-12
 
     def test_single_graph_paths_agree_with_the_batched_routine(self, rng):
         model = self.model(rng, channels=(4, 3))
@@ -543,8 +565,8 @@ class TestBatchedInference:
             n = s.features.shape[0]
             L[b, :n, :n] = s.laplacian
             X[b, :n] = s.features
-        H = _conv_stack(model.conv_layers, L, X)
-        probs = _inference_probs(model, samples)
+        H = conv_stack(model, L, X)
+        probs = batched_probs(model, samples)
         for b, s in enumerate(samples):
             n = s.features.shape[0]
             h = s.features
@@ -558,6 +580,25 @@ class TestBatchedInference:
         samples = make_samples(rng, 3, d=4)
         with pytest.raises(DimensionMismatch):
             evaluate(model, samples)
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    def test_prebuilt_buckets_follow_new_parameters(self, rng, pool):
+        # two buckets, one of them partial, as train builds them once and
+        # runs them again after every optimizer step
+        samples = make_samples(rng, _BUCKET + 5, n_range=(4, 14), separation=0.2)
+        model = self.model(rng, pool=pool)
+        buckets = _buckets(model, samples)
+        kept = [[a.copy() for a in (b.rows, b.L, b.stack, b.real, b.counts)] for b in buckets]
+        before = _inference_probs(model, buckets)
+
+        new = [p + rng.uniform(-0.3, 0.3, p.shape) for p in model.parameters()]
+        model.set_parameters(new)
+        after = _inference_probs(model, buckets)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, batched_probs(model, samples))
+        for b, arrays in zip(buckets, kept):
+            for a, k in zip((b.rows, b.L, b.stack, b.real, b.counts), arrays):
+                assert np.array_equal(a, k)
 
     def test_rejects_a_label_outside_the_classes(self, rng):
         model = tiny_model(rng)
@@ -669,6 +710,11 @@ class TestModelValidation:
         dense = DenseLayer(weights=np.zeros((6, 2)), bias=np.zeros(2))
         with pytest.raises(ValueError):
             GcnnModel([l1], dense)
+
+    @pytest.mark.parametrize("l2", [math.nan, math.inf, -1e-3])
+    def test_l2_must_be_finite_and_nonnegative(self, l2):
+        with pytest.raises(ValueError, match="l2_lambda"):
+            build_model(3, (4,), l2_lambda=l2)
 
     def test_build_model_shapes(self):
         m = build_model(5, (24, 24, 24, 24), order=3)
