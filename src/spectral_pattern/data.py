@@ -476,6 +476,15 @@ def _group_graph(group: BuildingGroup, config: GraphConfig, cols) -> tuple[np.nd
     return g.features[:, cols], L.values
 
 
+def _sample(group: BuildingGroup, feats, L, standardizer: Standardizer) -> GraphSample:
+    return GraphSample(
+        laplacian=L,
+        features=standardizer.transform(feats),
+        label=group.label_index,
+        sample_id=group.group_id,
+    )
+
+
 def prepare_training_samples(
     dataset: Dataset,
     graph_config: GraphConfig | None = None,
@@ -494,31 +503,17 @@ def prepare_training_samples(
     config = graph_config if graph_config is not None else GraphConfig()
     cols = list(_mask_indices(feature_mask))
 
-    graphs: dict[int, tuple] = {}
-    for name in ("train", "val", "test"):
-        for idx in getattr(dataset.splits, name):
-            group = dataset.groups[idx]
-            graphs[idx] = (group, *_group_graph(group, config, cols))
-
-    train_rows = np.vstack([graphs[i][1] for i in dataset.splits.train])
+    train_groups = dataset.split_groups("train")
+    graphs = [_group_graph(group, config, cols) for group in train_groups]
+    train_rows = np.vstack([feats for feats, _ in graphs])
     standardizer = Standardizer(
         mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
     )
-
-    out: dict[str, list[GraphSample]] = {}
-    for name in ("train", "val", "test"):
-        samples = []
-        for idx in getattr(dataset.splits, name):
-            group, feats, Lv = graphs[idx]
-            samples.append(
-                GraphSample(
-                    laplacian=Lv,
-                    features=standardizer.transform(feats),
-                    label=group.label_index,
-                    sample_id=group.group_id,
-                )
-            )
-        out[name] = samples
+    out = {"train": [_sample(g, *graph, standardizer) for g, graph in zip(train_groups, graphs)]}
+    for name in ("val", "test"):
+        out[name] = prepare_inference_samples(
+            dataset.split_groups(name), standardizer, config, feature_mask
+        )
     return out, standardizer
 
 
@@ -531,15 +526,4 @@ def prepare_inference_samples(
     """Same transform as training time, for unlabeled or held-out groups."""
     config = graph_config if graph_config is not None else GraphConfig()
     cols = list(_mask_indices(feature_mask))
-    samples = []
-    for group in groups:
-        feats, Lv = _group_graph(group, config, cols)
-        samples.append(
-            GraphSample(
-                laplacian=Lv,
-                features=standardizer.transform(feats),
-                label=group.label_index,
-                sample_id=group.group_id,
-            )
-        )
-    return samples
+    return [_sample(group, *_group_graph(group, config, cols), standardizer) for group in groups]

@@ -97,20 +97,6 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
-@dataclass
-class _ForwardCache:
-    """Intermediates of one retained forward pass, consumed by backward."""
-
-    L: np.ndarray
-    X: np.ndarray
-    tape: list  # per layer: (power stack (n, K*c_in), pre-activation (n, c_out))
-    last_act: np.ndarray  # output of the final conv layer
-    pooled: np.ndarray
-    drop_mask: np.ndarray | None  # None when dropout was off
-    dropped: np.ndarray  # dense input
-    probs: np.ndarray
-
-
 class GcnnModel:
     """Conv stack + pooling + dropout + dense softmax."""
 
@@ -120,7 +106,8 @@ class GcnnModel:
         self.pool = pool
         self.dropout_rate = float(dropout_rate)
         self.l2_lambda = float(l2_lambda)
-        self._cache: _ForwardCache | None = None
+        # (L, X, tape) of the last forward(..., retain=True), for backward
+        self._retained: tuple | None = None
         if not self.conv_layers:
             raise ValueError("model needs at least one conv layer")
         if pool not in POOLS:
@@ -172,6 +159,8 @@ class GcnnModel:
             k += 2
         self.dense.weights = np.array(values[k], dtype=float)
         self.dense.bias = np.array(values[k + 1], dtype=float)
+        # a tape of the old parameters would give backward wrong gradients
+        self._retained = None
 
     def penalty_weight_squares(self) -> float:
         """Sum of squared conv thetas and dense weights; biases excluded."""
@@ -179,42 +168,21 @@ class GcnnModel:
         return total + float(np.sum(self.dense.weights**2))
 
     def forward(self, L, X, training=False, rng=None, retain=False) -> np.ndarray:
-        """Class probabilities for one graph; optionally retains intermediates."""
+        """Class probabilities for one graph, the unpadded case of `_probs`;
+        optionally retains its tape for backward."""
         Lv = matrix_of(L)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.feature_dim:
-            raise DimensionMismatch(
-                f"graph features have {X.shape[1]} channels, model expects {self.feature_dim}"
-            )
-        if X.shape[0] != Lv.shape[0]:
-            raise DimensionMismatch("feature rows must match the Laplacian order")
+        _check_graph(self, Lv, X)
+        if not (training and self.dropout_rate > 0.0):
+            rng = None
+        elif rng is None:
+            raise ValueError("training-mode forward with dropout needs an rng")
 
         tape = [] if retain else None
         P = _power_stack(Lv, X, self.conv_layers[0].order)
-        act = _conv_stack(self.conv_layers, Lv, P, tape)
-        pooled = global_mean_pool(act) if self.pool == "mean" else act.max(axis=0)
-
-        mask = None
-        dropped = pooled
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward with dropout needs an rng")
-            keep = rng.random(pooled.shape[0]) >= self.dropout_rate
-            mask = keep.astype(float) / (1.0 - self.dropout_rate)
-            dropped = pooled * mask
-
-        probs = dense_softmax_forward(self.dense, dropped)
+        probs = _probs(self, Lv, P, 1.0, X.shape[0], rng, tape)
         if retain:
-            self._cache = _ForwardCache(
-                L=Lv,
-                X=X,
-                tape=tape,
-                last_act=act,
-                pooled=pooled,
-                drop_mask=mask,
-                dropped=dropped,
-                probs=probs,
-            )
+            self._retained = (Lv, X, tape)
         return probs
 
 
@@ -265,18 +233,48 @@ def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.nda
     return Y if activation == "relu" else tape[0][1]
 
 
-def global_mean_pool(X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
-        raise ValueError("cannot pool an empty signal")
-    return np.add.reduce(X, axis=0) / X.shape[0]  # what X.mean(axis=0) computes
+def _check_graph(model: GcnnModel, L, X, sample_id=None) -> None:
+    """Raises DimensionMismatch unless X is (n, feature_dim) and L is (n, n)
+    with n >= 1; the message names the sample when there is an id."""
+    n = X.shape[0]
+    if n == 0:
+        problem = "the graph has no vertices"
+    elif X.shape[1:] != (model.feature_dim,):
+        problem = f"features {X.shape} do not have the model's {model.feature_dim} channels"
+    elif L.shape != (n, n):
+        problem = f"Laplacian {L.shape} does not match {n} vertices"
+    else:
+        return
+    raise DimensionMismatch(problem if sample_id is None else f"sample {sample_id!r}: {problem}")
 
 
-def dense_softmax_forward(layer: DenseLayer, h) -> np.ndarray:
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != layer.c_in:
-        raise DimensionMismatch(f"embedding has {h.shape[0]} entries, dense expects {layer.c_in}")
-    return _softmax(layer.weights.T @ h + layer.bias)
+def _probs(model: GcnnModel, L, P, real, counts, rng=None, tape=None) -> np.ndarray:
+    """Class probabilities of one graph, or of a padded bucket when the
+    arguments carry a leading batch axis.
+
+    `P` is the first layer's `_power_stack`; `real` is 1 on real vertices
+    and 0 on padding, and `counts` the real vertices per graph.  Dropout
+    is on when `rng` is given.  When `tape` is a list, it receives each
+    conv layer's pair from `_conv_stack`, then (last activation, dropout
+    mask or None, dense input, probabilities).
+    """
+    # padded rows become zero; after ReLU every real entry is >= 0, so
+    # zeros there change no maximum either
+    H = _conv_stack(model.conv_layers, L, P, tape) * real
+    if model.pool == "mean":
+        pooled = np.add.reduce(H, axis=-2) / counts  # what H.mean computes unpadded
+    else:
+        pooled = np.maximum.reduce(H, axis=-2)
+    mask = None
+    dropped = pooled
+    if rng is not None:
+        keep = rng.random(pooled.shape) >= model.dropout_rate
+        mask = keep.astype(float) / (1.0 - model.dropout_rate)
+        dropped = pooled * mask
+    probs = _softmax(dropped @ model.dense.weights + model.dense.bias)
+    if tape is not None:
+        tape.append((H, mask, dropped, probs))
+    return probs
 
 
 def _softmax(logits) -> np.ndarray:
@@ -307,45 +305,47 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     """Exact gradients of cross_entropy_loss, in parameters() order.
 
-    Requires the intermediates of a forward(..., retain=True) on the same
-    (L, X); raises StateError otherwise.
+    Requires the tape of a forward(..., retain=True) on the same (L, X),
+    run since the parameters were last set; raises StateError otherwise.
     """
-    cache = model._cache
+    if model._retained is None:
+        raise StateError(
+            "backward needs a forward pass with retain=True since the parameters last changed"
+        )
     Lv = matrix_of(L)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if cache is None:
-        raise StateError("backward needs a preceding forward pass with retain=True")
+    L_kept, X_kept, tape = model._retained
     # train passes the very arrays it gave forward, so identity settles it
     # without an element-wise comparison
-    if not (_same(cache.L, Lv) and _same(cache.X, X)):
+    if not (_same(L_kept, Lv) and _same(X_kept, X)):
         raise StateError("retained forward intermediates do not match these inputs")
     label = int(label)
     if not 0 <= label < model.n_classes:
         raise InvalidLabel(f"label {label} outside [0, {model.n_classes})")
 
     n = X.shape[0]
-    probs = cache.probs
+    *layer_tape, (last_act, mask, dropped, probs) = tape
     dlogits = probs.copy()
     dlogits[label] -= 1.0
 
     dense = model.dense
-    d_w = cache.dropped[:, None] * dlogits + 2.0 * model.l2_lambda * dense.weights
+    d_w = dropped[:, None] * dlogits + 2.0 * model.l2_lambda * dense.weights
     d_b = dlogits.copy()
     dh = dense.weights @ dlogits
-    if cache.drop_mask is not None:
-        dh = dh * cache.drop_mask
+    if mask is not None:
+        dh = dh * mask
 
     if model.pool == "mean":
         dY = dh / n  # the same row for every vertex, broadcast in dZ below
     else:
-        dY = np.zeros_like(cache.last_act)
-        dY[np.argmax(cache.last_act, axis=0), np.arange(dY.shape[1])] = dh
+        dY = np.zeros_like(last_act)
+        dY[np.argmax(last_act, axis=0), np.arange(dY.shape[1])] = dh
 
     grads: list[np.ndarray] = []
     for i in range(len(model.conv_layers) - 1, -1, -1):
         layer = model.conv_layers[i]
         K, c_in, c_out = layer.theta.shape
-        P, Z = cache.tape[i]
+        P, Z = layer_tape[i]
         dZ = dY * (Z > 0.0)
         d_theta = (P.T @ dZ).reshape(K, c_in, c_out) + 2.0 * model.l2_lambda * layer.theta
         d_bias = np.add.reduce(dZ, axis=0)
@@ -517,13 +517,9 @@ def _buckets(model: GcnnModel, samples: Sequence[GraphSample]) -> list[_Bucket]:
     Padded rows and columns of L are zero, so padded vertices never reach
     real ones; only pooling has to leave them out.
     """
+    for s in samples:
+        _check_graph(model, s.laplacian, s.features, s.sample_id)
     sizes = [s.features.shape[0] for s in samples]
-    for s, n in zip(samples, sizes):
-        if s.features.shape[1:] != (model.feature_dim,) or s.laplacian.shape != (n, n):
-            raise DimensionMismatch(
-                f"sample {s.sample_id!r}: features {s.features.shape} and Laplacian "
-                f"{s.laplacian.shape} do not fit a model with {model.feature_dim} channels"
-            )
     order = np.argsort(sizes, kind="stable")
     K = model.conv_layers[0].order
     buckets = []
@@ -550,11 +546,7 @@ def _inference_probs(model: GcnnModel, buckets: Sequence[_Bucket]) -> np.ndarray
     """
     probs = np.empty((sum(len(b.rows) for b in buckets), model.n_classes))
     for b in buckets:
-        # padded rows become zero; after ReLU every real entry is >= 0, so
-        # zeros there change no maximum either
-        H = _conv_stack(model.conv_layers, b.L, b.stack) * b.real
-        pooled = H.sum(axis=1) / b.counts if model.pool == "mean" else H.max(axis=1)
-        probs[b.rows] = _softmax(pooled @ model.dense.weights + model.dense.bias)
+        probs[b.rows] = _probs(model, b.L, b.stack, b.real, b.counts)
     return probs
 
 
@@ -647,7 +639,6 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
                 break
 
     model.set_parameters(best_params)
-    model._cache = None
     return model, history
 
 

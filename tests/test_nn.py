@@ -24,9 +24,7 @@ from spectral_pattern.nn import (
     build_model,
     conv_layer_forward,
     cross_entropy_loss,
-    dense_softmax_forward,
     evaluate,
-    global_mean_pool,
     load_checkpoint,
     optimizer_init,
     optimizer_step,
@@ -34,12 +32,14 @@ from spectral_pattern.nn import (
     save_checkpoint,
     train,
 )
+import spectral_pattern.nn as nn
 from spectral_pattern.nn import (
     _BUCKET,
     _buckets,
     _conv_stack,
     _inference_probs,
     _power_stack,
+    _softmax,
     _split_metrics,
 )
 from spectral_pattern.spectral import PolynomialKernel, polynomial_convolve
@@ -108,50 +108,88 @@ class TestConvLayerForward:
             conv_layer_forward(layer, L, np.zeros((5, 4)))
 
 
+def head(model):
+    """(last activation, dropout mask or None, dense input, probabilities)
+    of the last forward(..., retain=True): the tail of its tape."""
+    return model._retained[2][-1]
+
+
+def identity_model(c, pool="mean"):
+    """One first-order layer with theta = I and zero bias, so that the last
+    activation is the ReLU of the features themselves."""
+    layer = GraphConvLayer(theta=np.eye(c)[None], bias=np.zeros(c))
+    dense = DenseLayer(weights=np.zeros((c, 2)), bias=np.zeros(2))
+    return GcnnModel([layer], dense, pool=pool, dropout_rate=0.0, l2_lambda=0.0)
+
+
 class TestPooling:
+    """Pooling seen through the tape of a forward pass: with dropout off the
+    dense input is the pooled embedding."""
+
+    def pooled(self, model, L, X):
+        model.forward(L, X, retain=True)
+        act, mask, dropped, _ = head(model)
+        assert mask is None
+        return act, dropped
+
     def test_constant_rows(self):
-        X = np.tile([2.0, -1.0, 0.5], (7, 1))
-        assert np.array_equal(global_mean_pool(X), [2.0, -1.0, 0.5])
+        X = np.tile([2.0, 1.0, 0.5], (7, 1))
+        for pool in ("mean", "max"):
+            act, pooled = self.pooled(identity_model(3, pool), np.zeros((7, 7)), X)
+            assert np.array_equal(act, X)
+            assert np.array_equal(pooled, [2.0, 1.0, 0.5])
 
     def test_hand_mean(self):
-        assert np.array_equal(global_mean_pool([[1.0, 2.0], [3.0, 4.0]]), [2.0, 3.0])
+        X = [[1.0, 2.0], [3.0, 4.0]]
+        _, pooled = self.pooled(identity_model(2, "mean"), np.zeros((2, 2)), X)
+        assert np.array_equal(pooled, [2.0, 3.0])
+        _, pooled = self.pooled(identity_model(2, "max"), np.zeros((2, 2)), X)
+        assert np.array_equal(pooled, [3.0, 4.0])
 
     def test_permutation_invariant(self, rng):
-        X = rng.standard_normal((9, 4))
+        L = scaled_laplacian(rng, 9).values
+        X = rng.standard_normal((9, 3))
         perm = rng.permutation(9)
-        assert np.allclose(global_mean_pool(X), global_mean_pool(X[perm]), atol=1e-12)
+        for pool in ("mean", "max"):
+            model = tiny_model(rng, pool=pool)
+            _, pooled = self.pooled(model, L, X)
+            _, permuted = self.pooled(model, L[np.ix_(perm, perm)], X[perm])
+            assert np.allclose(pooled, permuted, atol=1e-12)
 
 
 class TestDenseSoftmax:
-    def test_symmetric_logits(self):
-        layer = DenseLayer(weights=np.zeros((3, 2)), bias=np.zeros(2))
-        assert dense_softmax_forward(layer, np.ones(3)) == pytest.approx([0.5, 0.5])
+    """The softmax head through forward: with zero dense weights the
+    probabilities are the softmax of the dense bias."""
 
-    def test_large_logits_stable(self):
-        layer = DenseLayer(weights=np.zeros((1, 2)), bias=[1000.0, 0.0])
-        p = dense_softmax_forward(layer, [0.0])
-        assert np.all(np.isfinite(p))
-        assert p[0] == pytest.approx(1.0)
-        assert p[1] == pytest.approx(0.0, abs=1e-300)
+    def probs(self, rng, bias):
+        model = tiny_model(rng, d=3)
+        model.dense.weights[:] = 0.0
+        model.dense.bias[:] = bias
+        return model.forward(scaled_laplacian(rng, 6), rng.standard_normal((6, 3)))
 
-    def test_hand_softmax(self):
-        layer = DenseLayer(weights=np.zeros((1, 2)), bias=[math.log(3.0), 0.0])
-        assert dense_softmax_forward(layer, [0.0]) == pytest.approx([0.75, 0.25])
+    def test_symmetric_logits(self, rng):
+        assert self.probs(rng, [0.0, 0.0]) == pytest.approx([0.5, 0.5])
+
+    def test_large_logits_stable(self, rng):
+        for p in (self.probs(rng, [1000.0, 0.0]), _softmax(np.array([[1000.0, 0.0]]))[0]):
+            assert np.all(np.isfinite(p))
+            assert p[0] == pytest.approx(1.0)
+            assert p[1] == pytest.approx(0.0, abs=1e-300)
+
+    def test_hand_softmax(self, rng):
+        assert self.probs(rng, [math.log(3.0), 0.0]) == pytest.approx([0.75, 0.25])
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
             c = int(rng.integers(2, 6))
-            layer = DenseLayer(
-                weights=rng.standard_normal((4, c)), bias=rng.standard_normal(c)
-            )
-            p = dense_softmax_forward(layer, rng.standard_normal(4))
+            model = build_model(3, (4,), order=2, n_classes=c, seed=int(rng.integers(100)))
+            model.dense.bias[:] = rng.standard_normal(c)
+            p = model.forward(scaled_laplacian(rng, 6), rng.standard_normal((6, 3)), retain=True)
+            _, _, dropped, probs = head(model)
+            assert probs is p
+            assert np.array_equal(p, _softmax(dropped @ model.dense.weights + model.dense.bias))
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p > 0) and np.all(p < 1)
-
-    def test_dimension_mismatch(self):
-        layer = DenseLayer(weights=np.zeros((3, 2)), bias=np.zeros(2))
-        with pytest.raises(DimensionMismatch):
-            dense_softmax_forward(layer, np.ones(4))
 
 
 class TestCrossEntropy:
@@ -179,28 +217,32 @@ class TestCrossEntropy:
 
 
 class TestDropout:
-    """Inverted dropout on the pooled embedding, seen through the retained
-    forward pass."""
+    """Inverted dropout on the pooled embedding, seen through the tape of
+    the retained forward pass."""
 
     def forward(self, model, rng, training=True):
         L = scaled_laplacian(rng, 6)
         X = rng.standard_normal((6, model.feature_dim))
         probs = model.forward(L, X, training=training, rng=rng, retain=True)
-        return probs, model._cache
+        act, mask, dropped, _ = head(model)
+        return probs, act.mean(axis=0), mask, dropped
+
+    def dense(self, model, h):
+        return _softmax(h @ model.dense.weights + model.dense.bias)
 
     def test_rate_zero_identity(self, rng):
         model = tiny_model(rng, dropout=0.0)
-        probs, cache = self.forward(model, rng)
-        assert cache.drop_mask is None
-        assert np.array_equal(cache.dropped, cache.pooled)
-        assert np.array_equal(probs, dense_softmax_forward(model.dense, cache.pooled))
+        probs, pooled, mask, dropped = self.forward(model, rng)
+        assert mask is None
+        assert np.array_equal(dropped, pooled)
+        assert np.array_equal(probs, self.dense(model, pooled))
 
     def test_inference_identity(self, rng):
         model = tiny_model(rng, dropout=0.9)
-        probs, cache = self.forward(model, rng, training=False)
-        assert cache.drop_mask is None
-        assert np.array_equal(cache.dropped, cache.pooled)
-        assert np.array_equal(probs, dense_softmax_forward(model.dense, cache.pooled))
+        probs, pooled, mask, dropped = self.forward(model, rng, training=False)
+        assert mask is None
+        assert np.array_equal(dropped, pooled)
+        assert np.array_equal(probs, self.dense(model, pooled))
 
     def test_expected_value_preserved(self):
         # kept entries are scaled by 1 / (1 - rate), so the mask averages 1
@@ -208,9 +250,10 @@ class TestDropout:
         model = tiny_model(rng, channels=(4, 16), dropout=0.5)
         masks = []
         for _ in range(2000):
-            _, cache = self.forward(model, rng)
-            assert np.array_equal(cache.dropped, cache.pooled * cache.drop_mask)
-            masks.append(cache.drop_mask)
+            probs, pooled, mask, dropped = self.forward(model, rng)
+            assert np.array_equal(dropped, pooled * mask)
+            assert np.array_equal(probs, self.dense(model, dropped))
+            masks.append(mask)
         masks = np.array(masks)
         assert set(np.unique(masks)) == {0.0, 2.0}
         assert abs(masks.mean() - 1.0) < 0.03
@@ -294,6 +337,18 @@ class TestBackward:
         model.forward(L.values, X, retain=True)
         with pytest.raises(StateError):
             backward(model, L.values, X + 1.0, 0)
+
+    def test_state_error_after_set_parameters(self, rng):
+        # a tape of the old parameters would give gradients of neither set
+        model = tiny_model(rng)
+        L = scaled_laplacian(rng, 5)
+        X = rng.standard_normal((5, 3))
+        model.forward(L.values, X, retain=True)
+        model.set_parameters([p + 0.5 for p in model.parameters()])
+        with pytest.raises(StateError):
+            backward(model, L.values, X, 0)
+        model.forward(L.values, X, retain=True)
+        assert len(backward(model, L.values, X, 0)) == len(model.parameters())
 
     def test_saturated_prediction_zeroes_data_gradients(self, rng):
         model = tiny_model(rng, d=2, channels=(2, 2), l2=0.0)
@@ -605,6 +660,161 @@ class TestBatchedInference:
         s = make_samples(rng, 1)[0]
         with pytest.raises(InvalidLabel):
             evaluate(model, [GraphSample(s.laplacian, s.features, label=-1)])
+
+
+# graphs that fit no model with 3 feature channels
+BAD_GRAPHS = {
+    "wrong width": (np.eye(5), np.ones((5, 4))),
+    "non-square Laplacian": (np.ones((5, 6)), np.ones((5, 3))),
+    "no vertices": (np.zeros((0, 0)), np.zeros((0, 3))),
+}
+
+
+class TestGraphShapes:
+    """One shape check guards the single-graph forward and the padded
+    buckets of evaluate and train, for both pools."""
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+    def test_forward(self, rng, pool, case):
+        L, X = BAD_GRAPHS[case]
+        model = tiny_model(rng, pool=pool)
+        with pytest.raises(DimensionMismatch):
+            model.forward(L, X)
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+    def test_evaluate(self, rng, pool, case):
+        bad = GraphSample(*BAD_GRAPHS[case], label=0, sample_id="g-bad")
+        model = tiny_model(rng, pool=pool)
+        with pytest.raises(DimensionMismatch, match="'g-bad'"):
+            evaluate(model, make_samples(rng, 3) + [bad])
+
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train(self, rng, pool, case, split):
+        bad = GraphSample(*BAD_GRAPHS[case], label=0, sample_id="g-bad")
+        splits = {"train": make_samples(rng, 4), "val": make_samples(rng, 2)}
+        splits[split].append(bad)
+        model = tiny_model(rng, pool=pool)
+        with pytest.raises(DimensionMismatch, match="'g-bad'"):
+            train(model, splits, TrainConfig(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# The single-graph head as it stood before forward and the padded pass
+# shared `_probs`: mean or max pooling, inverted dropout, then
+# softmax(W.T h + b) on the one pooled vector.  Forward, backward and
+# training must equal it bit for bit.
+
+
+def reference_forward(model, L, X, training=False, rng=None):
+    L = np.asarray(L, dtype=float)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    tape = []
+    act = _conv_stack(model.conv_layers, L, _power_stack(L, X, model.conv_layers[0].order), tape)
+    pooled = np.add.reduce(act, axis=0) / act.shape[0] if model.pool == "mean" else act.max(axis=0)
+    mask = None
+    dropped = pooled
+    if training and model.dropout_rate > 0.0:
+        keep = rng.random(pooled.shape[0]) >= model.dropout_rate
+        mask = keep.astype(float) / (1.0 - model.dropout_rate)
+        dropped = pooled * mask
+    probs = _softmax(model.dense.weights.T @ dropped + model.dense.bias)
+    return probs, (L, tape, act, mask, dropped, probs)
+
+
+def reference_backward(model, retained, label):
+    L, tape, act, mask, dropped, probs = retained
+    lam = model.l2_lambda
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    d_w = dropped[:, None] * dlogits + 2.0 * lam * model.dense.weights
+    dh = model.dense.weights @ dlogits
+    if mask is not None:
+        dh = dh * mask
+    if model.pool == "mean":
+        dY = dh / act.shape[0]
+    else:
+        dY = np.zeros_like(act)
+        dY[np.argmax(act, axis=0), np.arange(dY.shape[1])] = dh
+    grads = []
+    for i in range(len(model.conv_layers) - 1, -1, -1):
+        layer = model.conv_layers[i]
+        K, c_in, c_out = layer.theta.shape
+        P, Z = tape[i]
+        dZ = dY * (Z > 0.0)
+        grads.append(np.add.reduce(dZ, axis=0))
+        grads.append((P.T @ dZ).reshape(K, c_in, c_out) + 2.0 * lam * layer.theta)
+        if i > 0:
+            G = dZ @ layer.theta.reshape(K * c_in, c_out).T
+            acc = G[:, (K - 1) * c_in :]
+            for k in range(K - 2, -1, -1):
+                acc = L @ acc + G[:, k * c_in : (k + 1) * c_in]
+            dY = acc
+    grads.reverse()
+    return grads + [d_w, dlogits.copy()]
+
+
+def reference_inference_probs(model, buckets):
+    probs = np.empty((sum(len(b.rows) for b in buckets), model.n_classes))
+    for b in buckets:
+        H = _conv_stack(model.conv_layers, b.L, b.stack) * b.real
+        pooled = H.sum(axis=1) / b.counts if model.pool == "mean" else H.max(axis=1)
+        probs[b.rows] = _softmax(pooled @ model.dense.weights + model.dense.bias)
+    return probs
+
+
+HEADS = [("mean", 0.0), ("mean", 0.5), ("max", 0.0), ("max", 0.5)]
+
+
+class TestReferenceHead:
+    def model(self, pool, dropout, seed=3):
+        model = build_model(3, (6, 5, 4), order=3, pool=pool, dropout_rate=dropout,
+                            l2_lambda=1e-3, seed=seed)
+        for layer in model.conv_layers:
+            layer.bias[:] = 0.1  # keeps some units alive through every layer
+        return model
+
+    @pytest.mark.parametrize("pool,dropout", HEADS)
+    def test_forward_and_backward_are_bit_identical(self, pool, dropout):
+        samples = make_samples(np.random.default_rng(5), 12, n_range=(4, 14), separation=0.5)
+        model = self.model(pool, dropout)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for s in samples:
+            want, _ = reference_forward(model, s.laplacian, s.features)
+            assert np.array_equal(model.forward(s.laplacian, s.features), want)
+
+            probs = model.forward(s.laplacian, s.features, training=True, rng=rng, retain=True)
+            want, retained = reference_forward(model, s.laplacian, s.features, True, ref_rng)
+            assert np.array_equal(probs, want)
+            grads = backward(model, s.laplacian, s.features, s.label)
+            for g, w in zip(grads, reference_backward(model, retained, s.label), strict=True):
+                assert np.array_equal(g, w)
+        buckets = _buckets(model, samples)
+        assert np.array_equal(
+            _inference_probs(model, buckets), reference_inference_probs(model, buckets)
+        )
+
+    @pytest.mark.parametrize("pool,dropout", HEADS)
+    def test_train_is_bit_identical(self, monkeypatch, pool, dropout):
+        samples = make_samples(np.random.default_rng(6), 24, n_range=(4, 14), separation=0.5)
+        splits = {"train": samples[:18], "val": samples[18:]}
+        config = TrainConfig(epochs=4, batch_size=5, seed=2)
+        model, history = train(self.model(pool, dropout), splits, config)
+
+        def forward(model, L, X, training=False, rng=None, retain=False):
+            probs, model._reference = reference_forward(model, L, X, training, rng)
+            return probs
+
+        monkeypatch.setattr(GcnnModel, "forward", forward)
+        monkeypatch.setattr(nn, "backward", lambda m, L, X, y: reference_backward(m, m._reference, y))
+        monkeypatch.setattr(nn, "_inference_probs", reference_inference_probs)
+        ref_model, ref_history = train(self.model(pool, dropout), splits, config)
+        for p, q in zip(model.parameters(), ref_model.parameters(), strict=True):
+            assert np.array_equal(p, q)
+        assert vars(history) == vars(ref_history)
 
 
 class TestPredict:
