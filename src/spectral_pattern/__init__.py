@@ -23,62 +23,34 @@ if _threads is not None:
 
 __version__ = "0.1.0"
 
-# public name -> defining submodule, resolved lazily so that importing the
-# package does not drag in numpy until something is actually used
-_EXPORTS = {
-    "Point2": "geometry",
-    "Polygon": "geometry",
-    "BuildingFeatures": "geometry",
-    "extract_features": "geometry",
-    "GraphConfig": "graph",
-    "SpatialGraph": "graph",
-    "LaplacianMatrix": "graph",
-    "EigenSystem": "graph",
-    "build_spatial_graph": "graph",
-    "laplacian": "graph",
-    "eigendecompose": "graph",
-    "SpectralKernel": "spectral",
-    "PolynomialKernel": "spectral",
-    "gft": "spectral",
-    "igft": "spectral",
-    "kernel_from_polynomial": "spectral",
-    "spectral_convolve": "spectral",
-    "polynomial_convolve": "spectral",
-    "GcnnModel": "nn",
-    "GraphSample": "nn",
-    "TrainConfig": "nn",
-    "build_model": "nn",
-    "train": "nn",
-    "evaluate": "nn",
-    "predict": "nn",
-    "BuildingGroup": "data",
-    "Dataset": "data",
-    "Standardizer": "data",
-    "generate_synthetic_dataset": "data",
-    "load_dataset": "data",
-    "save_dataset": "data",
-    "split_dataset": "data",
-}
-
-_SUBMODULES = ("cli", "data", "errors", "geometry", "graph", "nn", "spectral")
-
-__all__ = sorted(_EXPORTS) + list(_SUBMODULES)
-
-
-def __getattr__(name):
-    import importlib
-
-    if name in _EXPORTS:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    if name in _SUBMODULES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+# these load numpy, so they follow the thread caps.  cli is left out:
+# `python -m spectral_pattern.cli` would otherwise find it imported and warn
+from .geometry import BuildingFeatures, Point2, Polygon, extract_features
+from .graph import (
+    EigenSystem,
+    GraphConfig,
+    LaplacianMatrix,
+    SpatialGraph,
+    build_spatial_graph,
+    eigendecompose,
+    laplacian,
+)
+from .spectral import (
+    PolynomialKernel,
+    SpectralKernel,
+    gft,
+    igft,
+    kernel_from_polynomial,
+    polynomial_convolve,
+    spectral_convolve,
+)
+from .nn import GcnnModel, GraphSample, TrainConfig, build_model, evaluate, predict, train
+from .data import (
+    BuildingGroup,
+    Dataset,
+    Standardizer,
+    generate_synthetic_dataset,
+    load_dataset,
+    save_dataset,
+    split_dataset,
+)

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,12 +97,6 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
-def _graph_config(args) -> GraphConfig:
-    return GraphConfig(
-        structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
-    )
-
-
 def _train_once(dataset, args, order: int, feature_mask=None):
     """Split -> graphs -> model -> fit.  Returns everything a command needs.
 
@@ -110,7 +104,9 @@ def _train_once(dataset, args, order: int, feature_mask=None):
     built, so a bad flag fails at once.
     """
     ds = split_dataset(dataset, _parse_ratios(args.split), args.seed)
-    config = _graph_config(args)
+    config = GraphConfig(
+        structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
+    )
     model = build_model(
         feature_dim=len(_mask_indices(feature_mask)),
         conv_channels=(args.channels,) * args.layers,
@@ -137,12 +133,7 @@ def _checkpoint_extra(args, config: GraphConfig, standardizer, feature_mask) -> 
         "labels": list(LABELS),
         "feature_names": list(FEATURE_NAMES),
         "feature_mask": mask,
-        "graph": {
-            "structure": config.structure,
-            "weighting": config.weighting,
-            "laplacian": config.laplacian,
-            "scaled": config.scaled,
-        },
+        "graph": asdict(config),
         "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
         "standardizer": {
             "mean": standardizer.mean.tolist(),

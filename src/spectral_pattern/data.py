@@ -27,6 +27,7 @@ from .errors import (
     InfeasiblePacking,
     InsufficientSamples,
     InvalidPolygon,
+    OverflowingCentroid,
     ParseError,
     StateError,
     UnknownLabel,
@@ -66,9 +67,6 @@ class Splits:
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
-
-    def as_dict(self) -> dict[str, tuple[int, ...]]:
-        return {"train": self.train, "val": self.val, "test": self.test}
 
 
 @dataclass
@@ -242,6 +240,8 @@ class Standardizer:
         s = np.asarray(self.std, dtype=float).reshape(-1)
         if m.shape != s.shape:
             raise ValueError("mean and std must have the same length")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(s))):
+            raise ValueError("mean and std must be finite")
         if np.any(s < _STD_FLOOR):
             raise ValueError(f"std entries must be >= {_STD_FLOOR:g}")
         object.__setattr__(self, "mean", m)
@@ -472,6 +472,10 @@ def _group_graph(group: BuildingGroup, config: GraphConfig, cols) -> tuple[np.nd
         g = build_spatial_graph(group.buildings, config)
     except DuplicatePoints as exc:
         raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
+    except ValueError as exc:  # finite coordinates whose centroid overflows
+        raise OverflowingCentroid(
+            f"group {group.group_id!r}: a centroid overflows ({exc})"
+        ) from exc
     L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
     return g.features[:, cols], L.values
 

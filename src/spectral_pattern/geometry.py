@@ -203,20 +203,9 @@ def _check_simple(pts: Sequence[tuple[float, float]]) -> None:
                 raise SelfIntersectingPolygon(f"edges {i} and {j} intersect")
 
 
-def _perimeter(ring: Sequence[Point2]) -> float:
-    total = 0.0
-    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
-        total += math.hypot(bx - ax, by - ay)
-    return total
-
-
 def polygon_area(p: Polygon) -> float:
     """Shoelace area; positive because rings are stored counter-clockwise."""
     return _twice_signed_area(p.ring) / 2.0
-
-
-def polygon_perimeter(p: Polygon) -> float:
-    return _perimeter(p.ring)
 
 
 def polygon_centroid(p: Polygon) -> Point2:
@@ -337,7 +326,7 @@ def _min_rect(xy: Sequence[tuple[float, float]]) -> tuple[float, ...]:
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
     xy = [(x, y) for x, y in p.ring]
-    # one pass sums what _twice_signed_area and _perimeter sum, in their order
+    # one pass sums the perimeter and, in _twice_signed_area's order, the area
     area2 = perim = 0.0
     for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
         area2 += ax * by - bx * ay

@@ -103,12 +103,6 @@ class SpatialGraph:
 @dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
     values: np.ndarray
-    kind: str  # comb | sym
-    scaled: bool
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,10 +454,6 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
 # Laplacians
 
 
-def _weights_of(g) -> np.ndarray:
-    return g.weights if isinstance(g, SpatialGraph) else np.asarray(g, dtype=float)
-
-
 def matrix_of(L) -> np.ndarray:
     """The array of a LaplacianMatrix, or any other matrix as a float array."""
     return L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
@@ -489,7 +479,7 @@ def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
-    W = _weights_of(g)
+    W = g.weights if isinstance(g, SpatialGraph) else np.asarray(g, dtype=float)
     deg = W.sum(axis=1)
     if kind == "comb":
         L = np.diag(deg) - W
@@ -505,8 +495,7 @@ def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
             L = -np.eye(W.shape[0])
         else:
             L = (2.0 / lam_up) * L - np.eye(W.shape[0])
-        L = (L + L.T) / 2.0
-    return LaplacianMatrix(values=L, kind=kind, scaled=scaled)
+    return LaplacianMatrix(values=L)
 
 
 # ---------------------------------------------------------------------------

@@ -352,12 +352,12 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
         grads.append(d_bias)
         grads.append(d_theta)
         if i > 0:
-            # dX = sum_k L^k (dZ theta_k^T), Horner form; valid since L is
-            # symmetric.  Column block k of G is dZ theta_k^T.
+            # dX = sum_k (L^k)^T (dZ theta_k^T), Horner form.  Column block
+            # k of G is dZ theta_k^T.
             G = dZ @ layer.theta.reshape(K * c_in, c_out).T
             acc = G[:, (K - 1) * c_in :]
             for k in range(K - 2, -1, -1):
-                acc = Lv @ acc + G[:, k * c_in : (k + 1) * c_in]
+                acc = Lv.T @ acc + G[:, k * c_in : (k + 1) * c_in]
             dY = acc
 
     grads.reverse()

@@ -55,17 +55,13 @@ class PolynomialKernel:
         return self.theta.shape[0]
 
 
-def _signal(f) -> np.ndarray:
-    return np.asarray(f, dtype=float)
-
-
 def gft(f, eig: EigenSystem) -> np.ndarray:
     """Spectral coefficients of a vertex signal: fhat[l] = <eigvec_l, f>.
 
     Accepts a length-n vector or an (n, c) channel matrix; channels
     transform independently.
     """
-    f = _signal(f)
+    f = np.asarray(f, dtype=float)
     if f.shape[0] != eig.n:
         raise DimensionMismatch(f"signal has {f.shape[0]} vertices, graph has {eig.n}")
     return eig.eigenvectors.T @ f
@@ -73,7 +69,7 @@ def gft(f, eig: EigenSystem) -> np.ndarray:
 
 def igft(fhat, eig: EigenSystem) -> np.ndarray:
     """Vertex signal from spectral coefficients: f = sum_l fhat[l] eigvec_l."""
-    fhat = _signal(fhat)
+    fhat = np.asarray(fhat, dtype=float)
     if fhat.shape[0] != eig.n:
         raise DimensionMismatch(f"coefficients have length {fhat.shape[0]}, graph has {eig.n}")
     return eig.eigenvectors @ fhat
@@ -105,7 +101,7 @@ def polynomial_convolve(f, kernel: PolynomialKernel, L) -> np.ndarray:
     formed and no eigendecomposition happens.
     """
     A = matrix_of(L)
-    f = _signal(f)
+    f = np.asarray(f, dtype=float)
     if f.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"signal has {f.shape[0]} vertices, operator has {A.shape[0]}")
     theta = kernel.theta

@@ -188,6 +188,21 @@ class TestExitCodes:
         assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
         assert "data error: checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("field, value", [("std", float("nan")), ("mean", float("inf"))])
+    def test_checkpoint_with_non_finite_standardizer_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, field, value
+    ):
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        settings["standardizer"][field][0] = value
+        ckpt = tmp_path / "non-finite.json"
+        save_checkpoint(ckpt, model, settings)
+        out = tmp_path / "out.ndjson"
+        argv = ["--out", out] if command == "predict" else []
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
+        assert "data error: checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_with_bad_split_ratios_is_3(self, data_path, artifacts, tmp_path, capsys):
         model, settings = load_checkpoint(artifacts["ckpt"])
         settings["split"]["ratios"] = [0.5, 0.5]
@@ -227,6 +242,25 @@ class TestExitCodes:
         assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", path) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "'twin-block'" in err and "coincide" in err
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_overflowing_centroid_names_the_group_and_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command
+    ):
+        # finite JSON numbers whose centroid sums (cubes of 1e150) overflow
+        s = 1e150
+        huge = [{"ring": [[x, 0], [x + s, 0], [x + s, s], [x, s]]} for x in (0, 3 * s, 6 * s)]
+        path = tmp_path / "huge.ndjson"
+        path.write_text(data_path.read_text()
+                        + json.dumps({"id": "huge-block", "label": "regular", "buildings": huge})
+                        + "\n")
+        if command == "predict":
+            argv = ("predict", "--checkpoint", artifacts["ckpt"], "--data", path)
+        else:
+            argv = ("train", "--data", path, "--checkpoint", tmp_path / "m.json", *FAST)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "'huge-block'" in err and "overflows" in err
 
     @pytest.mark.parametrize("vertex", [["10", "0"], [10, True], [[10], 0]],
                              ids=["string", "bool", "nested-list"])

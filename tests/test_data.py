@@ -411,6 +411,14 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             Standardizer(mean=np.zeros(2), std=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_statistics_rejected(self, field, bad):
+        stats = {"mean": np.zeros(2), "std": np.ones(2)}
+        stats[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Standardizer(**stats)
+
 
 # ---------------------------------------------------------------------------
 # Synthetic generator

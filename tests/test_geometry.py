@@ -16,7 +16,6 @@ from spectral_pattern.geometry import (
     min_bounding_rect,
     polygon_area,
     polygon_centroid,
-    polygon_perimeter,
 )
 from spectral_pattern.geometry import _min_rect
 
@@ -252,14 +251,14 @@ class TestMeasures:
     def test_unit_square(self):
         p = Polygon(UNIT_SQUARE)
         assert polygon_area(p) == pytest.approx(1.0)
-        assert polygon_perimeter(p) == pytest.approx(4.0)
+        assert extract_features(p).compactness == pytest.approx(math.pi / 4)
         c = polygon_centroid(p)
         assert (c.x, c.y) == pytest.approx((0.5, 0.5))
 
     def test_l_shape(self):
         p = Polygon(L_SHAPE)
         assert polygon_area(p) == pytest.approx(3.0)
-        assert polygon_perimeter(p) == pytest.approx(8.0)
+        assert extract_features(p).compactness == pytest.approx(12 * math.pi / 64)  # P = 8
 
     def test_centroid_orientation_independent(self):
         a = polygon_centroid(Polygon(L_SHAPE))
@@ -276,7 +275,7 @@ class TestMeasures:
         ring = [(dx + s * x, dy + s * y) for x, y in UNIT_SQUARE]
         p = Polygon(ring)
         assert polygon_area(p) == pytest.approx(s * s, rel=1e-9)
-        assert polygon_perimeter(p) == pytest.approx(4 * s, rel=1e-9)
+        assert extract_features(p).compactness == pytest.approx(math.pi / 4, rel=1e-9)
 
 
 class TestConvexHull:

@@ -323,6 +323,14 @@ class TestBackward:
         X = srng.standard_normal((6, 2))
         self.fd_check(model, L.values, X, label=1, rng_seed=7)
 
+    def test_matches_finite_differences_for_a_non_symmetric_operator(self):
+        # forward accepts any square L, so the backward Horner step needs L^T
+        srng = np.random.default_rng(51)
+        model = tiny_model(srng, d=3, channels=(4, 3), l2=0.0)
+        L = srng.uniform(-0.5, 0.5, (6, 6))
+        X = srng.standard_normal((6, 3))
+        self.fd_check(model, L, X, label=0)
+
     def test_state_error_without_forward(self, rng):
         model = tiny_model(rng)
         L = scaled_laplacian(rng, 5)
