@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (
     CoincidentCentroids,
+    DataError,
     DuplicatePoints,
     EmptySplit,
-    GeometryError,
     InfeasiblePacking,
     InsufficientSamples,
     InvalidPolygon,
@@ -32,13 +32,14 @@ from .errors import (
     StateError,
     UnknownLabel,
 )
-from .geometry import FEATURE_NAMES, Polygon
+from .geometry import FEATURE_NAMES, Polygon, polygons
 from .graph import GraphConfig, build_spatial_graph, laplacian
 from .nn import GraphSample
 
 LABELS = ("regular", "irregular")
 
 _STD_FLOOR = 1e-8
+_RINGS_PER_BUILD = 2048  # footprints parsed before they are built as one batch
 _JSON_NUMBERS = (int, float)  # exact types: bool is an int subclass
 
 
@@ -96,22 +97,34 @@ class Dataset:
 # NDJSON I/O
 
 
-def _check_ring(ring) -> None:
-    """A ring is a JSON list of [x, y] pairs of JSON numbers.  Strings and
-    booleans would pass `float()` inside `Point2`, so they are refused here."""
+def _ring_fault(ring) -> str | None:
+    """Why a JSON ring is not a list of [x, y] pairs of JSON numbers, if it
+    is not.  Strings and booleans would pass `float()` inside `Point2`."""
     if not isinstance(ring, list):
-        raise ValueError("ring must be a list of [x, y] pairs")
+        return "ring must be a list of [x, y] pairs"
     for k, v in enumerate(ring):
-        if not (
-            isinstance(v, list)
-            and len(v) == 2
-            and type(v[0]) in _JSON_NUMBERS
-            and type(v[1]) in _JSON_NUMBERS
-        ):
-            raise ValueError(f"vertex {k} is not a pair of numbers: {v!r}")
+        if not (isinstance(v, list) and len(v) == 2
+                and type(v[0]) in _JSON_NUMBERS and type(v[1]) in _JSON_NUMBERS):
+            return f"vertex {k} is not a pair of numbers: {v!r}"
+    return None
 
 
-def _parse_group(obj, lineno: int) -> BuildingGroup:
+def _parse_line(line: str, lineno: int, first_line: dict):
+    """(id, label, rings, fault) of an NDJSON line: `fault` is the error of
+    its first bad building, or of an id seen on an earlier line (as in
+    `first_line`), and `rings` are the rings before it.  Any other fault of
+    the line is raised at once."""
+    if not line.isascii():
+        try:  # undecodable bytes were read as lone surrogates
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc}", line=lineno) from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", line=lineno) from None
     if not isinstance(obj, dict):
         raise ParseError("group line must be a JSON object", line=lineno)
     gid = obj.get("id")
@@ -123,31 +136,55 @@ def _parse_group(obj, lineno: int) -> BuildingGroup:
     raw = obj.get("buildings")
     if not isinstance(raw, list) or len(raw) < 3:
         raise ParseError("'buildings' must be a list of at least 3 entries", line=lineno)
-    polys = []
+    rings = []
     for b_idx, b in enumerate(raw):
         if not isinstance(b, dict) or "ring" not in b:
-            raise ParseError(f"building {b_idx} lacks a 'ring'", line=lineno)
-        try:
-            _check_ring(b["ring"])
-            polys.append(Polygon(b["ring"]))
-        except (GeometryError, ValueError, TypeError, OverflowError) as exc:
-            raise InvalidPolygon(f"building {b_idx}: {exc}", line=lineno) from exc
-    return BuildingGroup(group_id=gid, buildings=tuple(polys), label=label)
+            return gid, label, rings, ParseError(f"building {b_idx} lacks a 'ring'", line=lineno)
+        if (why := _ring_fault(b["ring"])) is not None:
+            return gid, label, rings, InvalidPolygon(f"building {b_idx}: {why}", line=lineno)
+        rings.append(b["ring"])
+    first = first_line.setdefault(gid, lineno)
+    if first == lineno:
+        return gid, label, rings, None
+    return gid, label, rings, ParseError(f"group id {gid!r} is also on line {first}", line=lineno)
+
+
+def _build(lines: list, fault=None) -> list[BuildingGroup]:
+    """The groups of (line number, id, label, rings) entries, their rings
+    built in one batch.  Raises InvalidPolygon for the first bad ring in
+    file order, and then `fault`, the error of a line after them."""
+    made = iter(polygons([ring for *_, rings in lines for ring in rings]))
+    polys = []
+    for lineno, *_, rings in lines:
+        polys.append([next(made) for _ in rings])
+        for b_idx, p in enumerate(polys[-1]):
+            if isinstance(p, Exception):
+                raise InvalidPolygon(f"building {b_idx}: {p}", line=lineno) from p
+    if fault is not None:
+        raise fault
+    return [BuildingGroup(gid, tuple(ps), label) for (_, gid, label, _), ps in zip(lines, polys)]
 
 
 def load_dataset(path) -> Dataset:
-    """Parse an NDJSON group file; errors carry 1-based line numbers."""
-    groups = []
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse an NDJSON group file; errors carry 1-based line numbers and
+    name the first bad line, and on it the first bad building.  Footprints
+    are built a few thousand rings at a time."""
+    groups, pending, n_rings, first_line, fault = [], [], 0, {}, None
+    # undecodable bytes are kept as lone surrogates and reported with their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            groups.append(_parse_group(obj, lineno))
-    return Dataset(groups=groups)
+                *group, fault = _parse_line(line, lineno, first_line)
+                pending.append((lineno, *group))
+                n_rings += len(group[-1])
+            except DataError as exc:
+                fault = exc
+            if fault is not None or n_rings >= _RINGS_PER_BUILD:
+                groups += _build(pending, fault)
+                pending, n_rings = [], 0
+    return Dataset(groups=groups + _build(pending))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -331,7 +368,8 @@ def _standardized_normals(rng, n):
 
 
 def _regular_group(rng, n, profile: GeneratorProfile):
-    """Grid-aligned rectangles, one shared orientation, near-uniform areas."""
+    """Rings of grid-aligned rectangles, one shared orientation, near-uniform
+    areas."""
     base_area = rng.uniform(120.0, 260.0)
     aspect = rng.uniform(1.3, 2.5)
     phi = rng.uniform(0.0, 180.0)
@@ -348,7 +386,7 @@ def _regular_group(rng, n, profile: GeneratorProfile):
     rows = math.ceil(n / cols)
     a = math.radians(phi)
     ca, sa = math.cos(a), math.sin(a)
-    polys = []
+    rings = []
     for i in range(n):
         r, c = divmod(i, cols)
         gx = (c - (cols - 1) / 2.0) * pitch + rng.uniform(-jit, jit)
@@ -357,8 +395,8 @@ def _regular_group(rng, n, profile: GeneratorProfile):
         tilt = phi + rng.uniform(
             -profile.orientation_jitter_regular, profile.orientation_jitter_regular
         )
-        polys.append(Polygon(_rect_ring(cx, cy, lengths[i], widths[i], tilt)))
-    return polys
+        rings.append(_rect_ring(cx, cy, lengths[i], widths[i], tilt))
+    return rings
 
 
 def _irregular_areas(rng, n, profile: GeneratorProfile):
@@ -375,8 +413,8 @@ def _irregular_areas(rng, n, profile: GeneratorProfile):
 
 
 def _irregular_group(rng, n, profile: GeneratorProfile):
-    """Mixed rectangles and L-shapes, random orientations, packed without
-    overlap by rejection sampling on bounding disks."""
+    """Rings of mixed rectangles and L-shapes, random orientations, packed
+    without overlap by rejection sampling on bounding disks."""
     areas = _irregular_areas(rng, n, profile)
 
     rings = []
@@ -421,8 +459,7 @@ def _irregular_group(rng, n, profile: GeneratorProfile):
             centers[i] = hit
         if ok:
             return [
-                Polygon([(x + centers[i][0], y + centers[i][1]) for x, y in rings[i]])
-                for i in range(n)
+                [(x + centers[i][0], y + centers[i][1]) for x, y in rings[i]] for i in range(n)
             ]
         side *= 1.15  # give the rejection sampler more room and retry
     raise InfeasiblePacking(f"could not place {n} buildings in 30 region growths")
@@ -445,20 +482,14 @@ def generate_synthetic_dataset(
     if not (3 <= lo <= hi <= 128):
         raise ValueError(f"size_range must sit inside [3, 128], got {size_range}")
 
-    groups = []
     width = len(str(n_groups - 1))
+    made = []  # (line number, id, label, rings), as _build takes them
     for i in range(n_groups):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(lo, hi + 1))
-        if i % 2 == 0:
-            polys = _regular_group(rng, n, profile)
-            label = "regular"
-        else:
-            polys = _irregular_group(rng, n, profile)
-            label = "irregular"
-        groups.append(
-            BuildingGroup(group_id=f"synthetic-{i:0{width}d}", buildings=tuple(polys), label=label)
-        )
+        rings = (_regular_group if i % 2 == 0 else _irregular_group)(rng, n, profile)
+        made.append((None, f"synthetic-{i:0{width}d}", LABELS[i % 2], rings))
+    groups = _build(made)  # every footprint of the corpus in one batch
     return Dataset(groups=groups)
 
 

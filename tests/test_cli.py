@@ -273,6 +273,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1" in err and "building 0" in err
 
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_overflowing_ring_is_3(self, data_path, artifacts, tmp_path, capsys, command):
+        s = 1e160
+        huge = [{"ring": [[x, 0], [x + s, 0], [x + s, s], [x, s]]} for x in (0, 3 * s, 6 * s)]
+        path = tmp_path / "huge.ndjson"
+        path.write_text(data_path.read_text()
+                        + json.dumps({"id": "huge-block", "label": "regular", "buildings": huge})
+                        + "\n")
+        if command == "predict":
+            argv = ("predict", "--checkpoint", artifacts["ckpt"], "--data", path)
+        else:
+            argv = ("train", "--data", path, "--checkpoint", tmp_path / "m.json", *FAST)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "line 13: building 0" in err and "must be finite" in err
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    @pytest.mark.parametrize("fault", ["invalid-utf8", "deep-nesting", "repeated-id"])
+    def test_bad_line_is_3_and_named(self, data_path, artifacts, tmp_path, capsys, command, fault):
+        lines = data_path.read_bytes().splitlines()
+        if fault == "invalid-utf8":
+            lines[4] = lines[4].replace(b'"id": "', b'"id": "\xff')
+        elif fault == "deep-nesting":
+            lines[4] = b"[" * 5000 + b"]" * 5000
+        else:
+            lines[4] = lines[1]
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = ("predict", "--checkpoint", artifacts["ckpt"], "--data", path, "--out", out)
+        else:
+            argv = ("train", "--data", path, "--checkpoint", out, *FAST)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "data error: line 5" in err
+        if fault == "repeated-id":
+            assert "also on line 2" in err
+        assert not out.exists()
+
     def test_divergence_is_4(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",
                  "--optimizer", "sgd", "--lr", "1e12", "--epochs", "60",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_pattern import data
 from spectral_pattern.data import (
     LABELS,
     BuildingGroup,
@@ -250,6 +251,64 @@ class TestNdjsonIO:
         path = self.write_lines(tmp_path, [json.dumps(bad)])
         with pytest.raises(ParseError, match="ring"):
             load_dataset(path)
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bytes.ndjson"
+        bad = self.good_line("g2").encode().replace(b"g2", b"g\xff")
+        lines = [self.good_line("g1").encode(), bad]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match="line 2: invalid UTF-8") as exc:
+            load_dataset(path)
+        assert exc.value.line == 2 and "0xff" in str(exc.value)
+
+    def test_deep_nesting_reports_line(self, tmp_path):
+        path = self.write_lines(tmp_path, [self.good_line(), "[" * 5000 + "]" * 5000])
+        with pytest.raises(ParseError, match="line 2: invalid JSON: nested too deeply"):
+            load_dataset(path)
+
+    def test_repeated_group_id_names_both_lines(self, tmp_path):
+        lines = [self.good_line("g1"), self.good_line("g2"), self.good_line("g1")]
+        with pytest.raises(ParseError, match="line 3: group id 'g1' is also on line 1") as exc:
+            load_dataset(self.write_lines(tmp_path, lines))
+        assert exc.value.line == 3
+
+    def test_overflowing_ring_reports_line(self, tmp_path):
+        bad = json.loads(self.good_line("g2"))
+        bad["buildings"][1]["ring"] = [[0, 0], [1e160, 0], [1e160, 1e160], [0, 1e160]]
+        path = self.write_lines(tmp_path, [self.good_line(), json.dumps(bad)])
+        with pytest.raises(InvalidPolygon, match="line 2: building 1: area inf") as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("per_build", [1, 4, 4096])
+    def test_first_bad_line_in_file_order_wins(self, tmp_path, monkeypatch, per_build):
+        # line 5 has a bowtie, line 7 is not JSON, line 9 a bad label: the
+        # bowtie is reported however many lines are built at once
+        monkeypatch.setattr(data, "_RINGS_PER_BUILD", per_build)
+        bowtie = json.loads(self.good_line("g5"))
+        bowtie["buildings"][2]["ring"] = [[0, 0], [1, 1], [1, 0], [0, 1]]
+        lines = [self.good_line(f"g{k}") for k in range(1, 5)]
+        lines += [json.dumps(bowtie), self.good_line("g6"), "{not json", '{"id": "g8", "label": 5}']
+        with pytest.raises(InvalidPolygon, match="line 5: building 2: edges") as exc:
+            load_dataset(self.write_lines(tmp_path, lines))
+        assert exc.value.line == 5
+        # a building's own fault waits for the bad rings before it on its line
+        bad = json.loads(self.good_line("g1"))
+        bad["buildings"][0]["ring"] = [[0, 0], [1, 1], [1, 0], [0, 1]]
+        bad["buildings"][1] = {"outline": []}
+        with pytest.raises(InvalidPolygon, match="line 1: building 0"):
+            load_dataset(self.write_lines(tmp_path, [json.dumps(bad)]))
+
+    def test_groups_built_in_several_batches_match_one(self, tmp_path, monkeypatch):
+        ds = generate_synthetic_dataset(n_groups=6, size_range=(3, 9), seed=5)
+        path = tmp_path / "ds.ndjson"
+        save_dataset(ds, path)
+        whole = load_dataset(path)
+        monkeypatch.setattr(data, "_RINGS_PER_BUILD", 7)
+        for a, b in zip(whole.groups, load_dataset(path).groups):
+            assert a.group_id == b.group_id and a.buildings == b.buildings
+            assert [extract_features(p) for p in a.buildings] == [
+                extract_features(p) for p in b.buildings]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -6,18 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spectral_pattern import geometry
 from spectral_pattern.errors import DegeneratePolygon, SelfIntersectingPolygon
 from spectral_pattern.geometry import (
     FEATURE_NAMES,
     Point2,
     Polygon,
-    convex_hull,
     extract_features,
     min_bounding_rect,
     polygon_area,
     polygon_centroid,
+    polygons,
 )
-from spectral_pattern.geometry import _min_rect
+from spectral_pattern.geometry import _hulls
 
 from conftest import rect_ring, regular_ngon
 
@@ -105,17 +107,23 @@ _OFFSET = st.sampled_from([0.0, 1e6, 4_321_987.0, 1e7]) | st.floats(1e6, 1e7)
 @st.composite
 def footprint_rings(draw):
     """Rings with or without the faults the constructor looks for: star
-    shapes (simple), free vertex lists (bowties and other crossings),
-    lattice rings (exactly collinear edges, spikes and touching vertices)
-    and rings along a line off it by a tiny amount; then repeated or
-    nudged vertices, a closing duplicate, a spike or a reversal, and an
-    offset of 0 or 1e6-1e7 m."""
-    kind = draw(st.sampled_from(["star", "free", "lattice", "near-collinear"]))
+    shapes (simple) of 3-10 or, less often, 50-200 vertices, free vertex
+    lists (bowties and other crossings), lattice rings (exactly collinear
+    edges, spikes and touching vertices) and rings along a line off it by
+    a tiny amount; then repeated or nudged vertices, a closing duplicate, a
+    spike or a reversal, and an offset of 0 or 1e6-1e7 m."""
+    kind = draw(st.sampled_from(["star", "free", "lattice", "near-collinear"] * 4 + ["big-star"]))
     if kind == "star":
         k = draw(st.integers(3, 10))
         angles = sorted(draw(st.lists(st.floats(0.0, 6.28), min_size=k, max_size=k)))
         radii = draw(st.lists(st.floats(0.5, 30.0), min_size=k, max_size=k))
         local = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+    elif kind == "big-star":
+        # drawn from a seeded stream: hundreds of drawn floats are slow to make
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        k = draw(st.integers(50, 200))
+        angles, radii = np.sort(rng.uniform(0.0, 6.28, k)), rng.uniform(0.5, 30.0, k)
+        local = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii.tolist())]
     elif kind == "free":
         xy = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
         local = draw(st.lists(xy, min_size=3, max_size=9))
@@ -237,6 +245,14 @@ class TestPolygonConstruction:
             got = construction_outcome(lambda r: Polygon(r).ring[2], [(0.0, 0.0), (1.0, 0.0), make()])
             assert got == want
 
+    def test_pickles_and_copies_with_its_measures(self):
+        for ring in (L_SHAPE, regular_ngon(60, 3.0, 1e6, 2e6)):
+            p = Polygon(ring)
+            for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert q == p and q.ring == p.ring
+                assert extract_features(q) == extract_features(p)
+                assert polygon_centroid(q) == polygon_centroid(p)
+
     def test_nonfinite_coordinate(self):
         with pytest.raises(ValueError):
             Polygon([(0, 0), (1, 0), (float("nan"), 1)])
@@ -278,36 +294,77 @@ class TestMeasures:
         assert extract_features(p).compactness == pytest.approx(math.pi / 4, rel=1e-9)
 
 
+def reference_hull(points):
+    """The one-ring monotone chain the batched hull replaced, kept here as
+    the reference: counter-clockwise from the smallest point, collinear
+    points left out."""
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return pts
+
+    def half(seq):
+        chain = []
+        for q in seq:
+            qx, qy = q
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(q)
+        return chain
+
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
+
+
+def batch_hull(points, others=()):
+    """The hull `_hulls` finds for `points`, stacked with the point lists
+    `others` of the same length."""
+    stack = np.array([points, *others], dtype=float).transpose(2, 1, 0)
+    HI, h = _hulls(stack[0], stack[1])
+    return [tuple(map(float, points[i])) for i in HI[: h[0], 0]]
+
+
 class TestConvexHull:
     def test_square_with_interior_points(self):
         pts = UNIT_SQUARE + [(0.5, 0.5), (0.3, 0.7)]
-        hull = convex_hull([Point2(x, y) for x, y in pts])
-        assert {(p.x, p.y) for p in hull} == set(map(tuple, map(lambda t: (float(t[0]), float(t[1])), UNIT_SQUARE)))
+        hull = batch_hull(pts)
+        assert set(hull) == {(float(x), float(y)) for x, y in UNIT_SQUARE}
         assert len(hull) == 4
-        assert all(type(q) is Point2 for q in hull)
 
     def test_collinear_midpoint_excluded(self):
-        hull = convex_hull([Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(1, 1)])
+        hull = batch_hull([(0, 0), (1, 0), (2, 0), (1, 1)])
         assert len(hull) == 3
-        assert Point2(1.0, 0.0) not in hull
+        assert (1.0, 0.0) not in hull
 
     def test_all_collinear_gives_extremes(self):
-        hull = convex_hull([Point2(x, x) for x in (0, 1, 2, 3)])
-        assert {(p.x, p.y) for p in hull} == {(0.0, 0.0), (3.0, 3.0)}
+        hull = batch_hull([(x, x) for x in (0, 1, 2, 3)])
+        assert set(hull) == {(0.0, 0.0), (3.0, 3.0)}
 
     def test_counter_clockwise_order(self):
-        hull = convex_hull([Point2(x, y) for x, y in UNIT_SQUARE])
+        hull = batch_hull(UNIT_SQUARE)
         area2 = 0.0
         for i in range(len(hull)):
-            a, b = hull[i], hull[(i + 1) % len(hull)]
-            area2 += a.x * b.y - b.x * a.y
+            (ax, ay), (bx, by) = hull[i], hull[(i + 1) % len(hull)]
+            area2 += ax * by - bx * ay
         assert area2 > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_one_ring_chain_in_any_stack(self, data):
+        # distinct points, some on shared lines; stacked with other rows
+        n = data.draw(st.integers(3, 24))
+        cells = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+        rows = [data.draw(st.lists(cells, min_size=n, max_size=n, unique=True)) for _ in range(3)]
+        want = reference_hull([tuple(map(float, p)) for p in rows[0]])
+        assert batch_hull(rows[0], rows[1:]) == want
 
 
 def reference_min_rect(xy):
     """`_min_rect` before it skipped edges past the tie band: every hull
     edge gets its angle and centre.  Kept here as the reference."""
-    hull = convex_hull(xy)
+    hull = reference_hull(xy)
     best = None
     (x0, y0), rest = hull[0], hull[1:]
     for (ax, ay), (bx, by) in zip(hull, rest + hull[:1]):
@@ -359,11 +416,10 @@ def rect_test_rings(draw):
     and moved by 0 or 1e6-1e7 m."""
     kind = draw(st.sampled_from(["square", "rect", "l-shape", "footprint"]))
     if kind == "footprint":
-        ring = draw(footprint_rings())
-        try:
-            return [(x, y) for x, y in Polygon(ring).ring]
-        except (DegeneratePolygon, SelfIntersectingPolygon, ValueError, TypeError):
-            return None
+        # the stored ring: checked again, a turned ring can fail the
+        # collinearity tolerance, which is taken from its first two points
+        made = polygons([draw(footprint_rings())])[0]
+        return [(x, y) for x, y in made.ring] if isinstance(made, Polygon) else None
     ang = draw(st.floats(0.0, 360.0) | st.sampled_from([0.0, 30.0, 45.0, 90.0, 135.0, 180.0]))
     size = draw(st.floats(0.5, 50.0))
     ox, oy = draw(_OFFSET), draw(_OFFSET)
@@ -384,7 +440,11 @@ class TestMinBoundingRect:
     def test_matches_the_loop_over_every_edge(self, xy):
         if xy is None:
             return
-        assert _min_rect(xy) == reference_min_rect(xy)
+        (p,) = polygons([xy])
+        if not isinstance(p, Polygon):
+            return
+        r = min_bounding_rect(p)
+        assert (r.area, r.angle, r.length, r.width, *r.center) == reference_min_rect(xy)
 
     def test_axis_aligned_rect(self):
         r = min_bounding_rect(Polygon(rect_ring(3, 4, 2, 1, 0)))
@@ -427,12 +487,123 @@ class TestMinBoundingRect:
     def test_angle_in_range(self, rng):
         for _ in range(40):
             pts = rng.random((6, 2)) * 10
-            hullpts = convex_hull([Point2(*q) for q in pts])
+            hullpts = reference_hull([tuple(q) for q in pts.tolist()])
             if len(hullpts) < 3:
                 continue
-            r = min_bounding_rect(Polygon([(q.x, q.y) for q in hullpts]))
+            r = min_bounding_rect(Polygon(hullpts))
             assert 0.0 <= r.angle < 180.0
             assert r.length >= r.width > 0
+
+
+def reference_measures(ring):
+    """(area, centroid, features, rect) of a ring as `reference_ring` stores
+    it, by the one-ring loops the batched pass replaced, kept here as the
+    reference.  A centroid, features or rect that cannot be taken is the
+    type and message of the error reading it raised."""
+    xy = [tuple(q) for q in ring]
+    area2 = cx = cy = perim = 0.0
+    for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1]):
+        w = ax * by - bx * ay
+        area2 += w
+        cx += (ax + bx) * w
+        cy += (ay + by) * w
+        perim += math.hypot(bx - ax, by - ay)
+    area = area2 / 2.0
+    x, y = cx / (3.0 * area2), cy / (3.0 * area2)
+    centroid = (x, y) if math.isfinite(x) and math.isfinite(y) else (
+        ValueError, f"non-finite coordinate ({x}, {y})")
+    collapsed = (DegeneratePolygon, "hull collapsed to a segment")
+    if len(reference_hull(xy)) < 3:
+        return area, centroid, collapsed, collapsed
+    _, angle, length, width, rx, ry = reference_min_rect(xy)
+    if not length * width > 0:  # the loops raised ZeroDivisionError here
+        return area, centroid, collapsed, (angle, length, width, rx, ry)
+    features = (
+        area,
+        angle,
+        length / width,
+        min(1.0, area / (length * width)),
+        min(1.0, 4.0 * math.pi * area / (perim * perim)),
+    )
+    return area, centroid, features, (angle, length, width, rx, ry)
+
+
+def measures_of(p):
+    """`reference_measures` of a built Polygon, through the public readers."""
+    def read(f):
+        try:
+            return f()
+        except (DegeneratePolygon, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def rect():
+        r = min_bounding_rect(p)
+        return (r.angle, r.length, r.width, *r.center)
+
+    return (
+        polygon_area(p),
+        read(lambda: tuple(polygon_centroid(p))),
+        read(lambda: extract_features(p).as_tuple()),
+        read(rect),
+    )
+
+
+class TestBatches:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(footprint_rings(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_each_ring_matches_the_one_ring_references_in_any_batch(self, rings, rnd):
+        made = polygons(rings)
+        # the same rings in another order, split into two batches
+        order = list(range(len(rings)))
+        rnd.shuffle(order)
+        cut = rnd.randint(0, len(rings))
+        regrouped = polygons([rings[i] for i in order[:cut]]) + polygons(
+            [rings[i] for i in order[cut:]])
+        for i, ring in enumerate(rings):
+            want = construction_outcome(reference_ring, ring)
+            for got in (made[i], regrouped[order.index(i)]):
+                if isinstance(got, Exception):
+                    assert (type(got), str(got)) == want
+                    continue
+                assert got.ring == want
+                assert measures_of(got) == reference_measures(want)
+
+    def test_a_ring_whose_area_overflows_is_rejected(self):
+        s = 1e160
+        square = [(0.0, 0.0), (s, 0.0), (s, s), (0.0, s)]
+        with pytest.raises(DegeneratePolygon, match="must be finite"):
+            Polygon(square)
+        (made,) = polygons([square])
+        assert isinstance(made, DegeneratePolygon)
+        # a square 1e150 m across still has a finite area and perimeter
+        smaller = Polygon([(x / 1e10, y / 1e10) for x, y in square])
+        assert polygon_area(smaller) == pytest.approx(1e300)
+
+    def test_rounding_can_put_a_hull_point_in_both_chains(self):
+        # nearly collinear: both chains turn left at the middle point, so the
+        # hull holds 4 points of a triangle; the stack must have room for them
+        ring = [(0.6229392698375061, 0.44815003991994323),
+                (40.92893999240609, 29.444774121018806),
+                (19.64861389613937, 14.135450321222057)]
+        assert len(reference_hull(ring)) == 4
+        made = polygons([ring, UNIT_SQUARE[:3]])
+        assert (type(made[0]), str(made[0])) == construction_outcome(reference_ring, ring)
+        assert made[1].ring == reference_ring(UNIT_SQUARE[:3])
+
+    def test_large_rings_split_into_several_kernel_calls(self, monkeypatch):
+        # 12 rings of 200 vertices, and their 19,700 edge pairs each, over a
+        # budget of 1,000 vertices or pairs per call: calls of 5 rings and
+        # crossing tests of one ring at a time
+        def outcome(p):
+            return measures_of(p) if isinstance(p, Polygon) else (type(p), str(p))
+
+        rings = [regular_ngon(200, radius=5.0 + k, cx=30.0 * k) for k in range(12)]
+        rings[7] = rings[7][:100] + [(230.0, 0.0)] + rings[7][100:]  # across its own side
+        want = [outcome(polygons([ring])[0]) for ring in rings]
+        monkeypatch.setattr(geometry, "_MAX_ITEMS", 1_000)
+        made = polygons(rings)
+        assert isinstance(made[7], SelfIntersectingPolygon)
+        assert [outcome(p) for p in made] == want
 
 
 class TestExtractFeatures:
