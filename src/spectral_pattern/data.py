@@ -27,7 +27,6 @@ from .errors import (
     InfeasiblePacking,
     InsufficientSamples,
     InvalidPolygon,
-    OverflowingCentroid,
     ParseError,
     StateError,
     UnknownLabel,
@@ -195,9 +194,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             obj = {"id": g.group_id}
             if g.label is not None:
                 obj["label"] = g.label
-            obj["buildings"] = [
-                {"ring": [[p.x, p.y] for p in poly.ring]} for poly in g.buildings
-            ]
+            obj["buildings"] = [{"ring": poly.xy.tolist()} for poly in g.buildings]
             fh.write(json.dumps(obj))
             fh.write("\n")
 
@@ -503,10 +500,6 @@ def _group_graph(group: BuildingGroup, config: GraphConfig, cols) -> tuple[np.nd
         g = build_spatial_graph(group.buildings, config)
     except DuplicatePoints as exc:
         raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
-    except ValueError as exc:  # finite coordinates whose centroid overflows
-        raise OverflowingCentroid(
-            f"group {group.group_id!r}: a centroid overflows ({exc})"
-        ) from exc
     L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
     return g.features[:, cols], L.values
 

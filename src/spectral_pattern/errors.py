@@ -101,10 +101,6 @@ class CoincidentCentroids(DataError):
     """Two buildings of one group share a centroid, so it has no graph."""
 
 
-class OverflowingCentroid(DataError):
-    """A building's centroid overflows the float range, so its group has no graph."""
-
-
 class InsufficientSamples(DataError):
     """A class has too few samples to split."""
 

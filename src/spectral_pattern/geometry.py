@@ -92,7 +92,8 @@ class BuildingFeatures(NamedTuple):
 class Polygon:
     """A simple closed ring, stored counter-clockwise without a closing
     duplicate.  Clockwise or explicitly closed input is normalized on
-    construction; degenerate or self-intersecting rings are rejected.
+    construction; degenerate or self-intersecting rings, and rings whose
+    measures overflow or whose smallest rectangle has no area, are rejected.
 
     It is row `_row` of `_block`, its batch's arrays; `xy`, the ring as a
     read-only (n, 2) array, and `ring`, a tuple of Point2, are built when read.
@@ -125,13 +126,12 @@ class Polygon:
 
 
 class _Block(NamedTuple):
-    """A batch's accepted rings, a row each: xy (B, n, 2); measures (B, 8):
-    area, centroid x, y and min_bounding_rect's angle, length, width, centre
-    x, y; features (B, 5), NaN where the rectangle has no area."""
+    """A batch's accepted rings, a row each: xy (B, n, 2); measures (B, 10):
+    centroid x, y, area ratio, compactness, area, and min_bounding_rect's
+    angle, length, width, centre x, y, so that each reader takes one slice."""
 
     xy: np.ndarray
     measures: np.ndarray
-    features: np.ndarray
 
 
 def _row_polygon(block: _Block, row: int) -> Polygon:
@@ -404,9 +404,12 @@ def _measure(X: np.ndarray, Y: np.ndarray, idx: np.ndarray, out: list) -> None:
     area_ratio = area / (length * width)
     compact = 4.0 * math.pi * area / (perim * perim)
 
-    # the first failing check, in the order they run on one ring
+    # the first failing check, in the order they run on one ring; a ring
+    # that passes them all has finite measures and a rectangle with area
     fault = np.select([collinear, crossing < n * n, np.abs(signed2) / 2.0 < _MIN_AREA,
-                       ~(np.isfinite(area) & np.isfinite(perim))], [1, 2, 3, 4], 0)
+                       ~(np.isfinite(area) & np.isfinite(perim)),
+                       ~(np.isfinite(cx) & np.isfinite(cy)), ~(length * width > 0)],
+                      [1, 2, 3, 4, 5, 6], 0)
     for b in np.flatnonzero(fault).tolist():
         i, j = divmod(int(crossing[b]), n)
         out[idx[b]] = [
@@ -415,14 +418,15 @@ def _measure(X: np.ndarray, Y: np.ndarray, idx: np.ndarray, out: list) -> None:
                                     else f"spike at vertex {(i + 1) % n}"),
             DegeneratePolygon(f"|area| {abs(signed2[b]) / 2.0:g} below {_MIN_AREA:g}"),
             DegeneratePolygon(f"area {area[b]:g} and perimeter {perim[b]:g} must be finite"),
+            DegeneratePolygon(f"centroid ({cx[b]:g}, {cy[b]:g}) must be finite"),
+            DegeneratePolygon("hull collapsed to a segment"),
         ][fault[b] - 1]
     good = fault == 0
     block = _Block(
         np.stack((X[:, good].T, Y[:, good].T), axis=2),
-        np.stack((area, cx, cy, angle, length, width, rcx, rcy), axis=1)[good],
-        np.stack((area, angle, np.where(length * width > 0, length / width, np.nan),
-                  np.where(area_ratio < 1.0, area_ratio, 1.0),
-                  np.where(compact < 1.0, compact, 1.0)), axis=1)[good],
+        np.stack((cx, cy, np.where(area_ratio < 1.0, area_ratio, 1.0),
+                  np.where(compact < 1.0, compact, 1.0),
+                  area, angle, length, width, rcx, rcy), axis=1)[good],
     )
     for a in block:
         a.flags.writeable = False
@@ -432,15 +436,12 @@ def _measure(X: np.ndarray, Y: np.ndarray, idx: np.ndarray, out: list) -> None:
 
 def polygon_area(p: Polygon) -> float:
     """Shoelace area; positive because rings are stored counter-clockwise."""
-    return float(p._block.measures[p._row, 0])
+    return float(p._block.measures[p._row, 4])
 
 
 def polygon_centroid(p: Polygon) -> Point2:
     """Area centroid of the footprint."""
-    x, y = p._block.measures[p._row, 1:3].tolist()
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite coordinate ({x}, {y})")
-    return tuple.__new__(Point2, (x, y))
+    return tuple.__new__(Point2, p._block.measures[p._row, :2].tolist())
 
 
 def min_bounding_rect(p: Polygon) -> OrientedRect:
@@ -448,15 +449,11 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
     edges.  Area ties are broken by the smaller long-side angle; for a
     square the smaller of the two side angles is reported.
     """
-    angle, length, width, cx, cy = p._block.measures[p._row, 3:].tolist()
-    if math.isnan(width):
-        raise DegeneratePolygon("hull collapsed to a segment")
+    angle, length, width, cx, cy = p._block.measures[p._row, 5:].tolist()
     return OrientedRect(center=Point2(cx, cy), length=length, width=width, angle=angle)
 
 
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
-    features = tuple.__new__(BuildingFeatures, p._block.features[p._row].tolist())
-    if math.isnan(features.length_width_ratio):
-        raise DegeneratePolygon("hull collapsed to a segment")
-    return features
+    area_ratio, compact, area, angle, length, width = p._block.measures[p._row, 2:8].tolist()
+    return tuple.__new__(BuildingFeatures, (area, angle, length / width, area_ratio, compact))
