@@ -243,6 +243,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "'twin-block'" in err and "coincide" in err
 
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_overflowing_centroid_names_the_group_and_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command
+    ):
+        # finite JSON numbers whose centroid sums (cubes of 1e150) overflow; the
+        # ring is rejected on load, so the group is named by its line
+        s = 1e150
+        huge = [{"ring": [[x, 0], [x + s, 0], [x + s, s], [x, s]]} for x in (0, 3 * s, 6 * s)]
+        path = tmp_path / "huge.ndjson"
+        path.write_text(data_path.read_text()
+                        + json.dumps({"id": "huge-block", "label": "regular", "buildings": huge})
+                        + "\n")
+        if command == "predict":
+            argv = ("predict", "--checkpoint", artifacts["ckpt"], "--data", path)
+        else:
+            argv = ("train", "--data", path, "--checkpoint", tmp_path / "m.json", *FAST)
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "line 13: building 0" in err
+        assert "centroid (inf, inf) must be finite" in err
+
     @pytest.mark.parametrize("vertex", [["10", "0"], [10, True], [[10], 0]],
                              ids=["string", "bool", "nested-list"])
     def test_non_number_coordinate_is_3(self, artifacts, tmp_path, capsys, vertex):
@@ -265,7 +286,6 @@ class TestExitCodes:
                   [10000038.751657445, 10000026.699725527]]
         for rings, fault in [
             (squares(1e160), "must be finite"),  # the area overflows
-            (squares(1e150), "centroid (inf, inf) must be finite"),  # its sums, cubes of 1e150
             ([sliver, *small], "hull collapsed to a segment"),  # a 2-point hull at 1e7 m
         ]:
             buildings = [{"ring": ring} for ring in rings]
