@@ -222,6 +222,8 @@ def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Da
     fixed seed; the index lists come back sorted.
     """
     ratios = tuple(float(r) for r in ratios)
+    if not all(math.isfinite(r) for r in ratios):
+        raise ValueError(f"ratios must be finite, got {ratios}")
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError(f"need three positive ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -313,17 +315,14 @@ def _mask_indices(feature_mask) -> tuple[int, ...]:
 # Synthetic generator
 
 
-@dataclass(frozen=True)
-class GeneratorProfile:
-    """Dials for the synthetic corpus; defaults give cleanly separable classes."""
-
-    area_cv_regular: float = 0.05  # exact within-group CV of regular areas
-    min_cv_irregular: float = 0.55  # redraw until irregular areas disperse this much
-    sigma_irregular: float = 0.8  # lognormal shape for irregular areas
-    l_shape_fraction: float = 0.4
-    min_separation: float = 0.1  # meters between any two footprints
-    fill_factor: float = 0.2  # irregular packing density target
-    orientation_jitter_regular: float = 1.0  # degrees, applied per building
+# the synthetic corpus; these values give cleanly separable classes
+_AREA_CV_REGULAR = 0.05  # exact within-group CV of regular areas
+_MIN_CV_IRREGULAR = 0.55  # redraw until irregular areas disperse this much
+_SIGMA_IRREGULAR = 0.8  # lognormal shape for irregular areas
+_L_SHAPE_FRACTION = 0.4
+_MIN_SEPARATION = 0.1  # meters between any two footprints
+_FILL_FACTOR = 0.2  # irregular packing density target
+_ORIENTATION_JITTER_REGULAR = 1.0  # degrees, applied per building
 
 
 def _rect_ring(cx, cy, length, width, angle_deg):
@@ -364,20 +363,20 @@ def _standardized_normals(rng, n):
     return (z - z.mean()) / sd
 
 
-def _regular_group(rng, n, profile: GeneratorProfile):
+def _regular_group(rng, n):
     """Rings of grid-aligned rectangles, one shared orientation, near-uniform
     areas."""
     base_area = rng.uniform(120.0, 260.0)
     aspect = rng.uniform(1.3, 2.5)
     phi = rng.uniform(0.0, 180.0)
-    areas = base_area * (1.0 + profile.area_cv_regular * _standardized_normals(rng, n))
+    areas = base_area * (1.0 + _AREA_CV_REGULAR * _standardized_normals(rng, n))
 
     lengths = np.sqrt(areas * aspect)
     widths = np.sqrt(areas / aspect)
     diag = float(np.max(np.hypot(lengths, widths)))
     gap = rng.uniform(4.0, 8.0)
     pitch = diag + gap
-    jit = 0.2 * gap  # keeps worst-case separation above min_separation
+    jit = 0.2 * gap  # keeps worst-case separation above _MIN_SEPARATION
 
     cols = math.ceil(math.sqrt(n))
     rows = math.ceil(n / cols)
@@ -389,37 +388,33 @@ def _regular_group(rng, n, profile: GeneratorProfile):
         gx = (c - (cols - 1) / 2.0) * pitch + rng.uniform(-jit, jit)
         gy = (r - (rows - 1) / 2.0) * pitch + rng.uniform(-jit, jit)
         cx, cy = gx * ca - gy * sa, gx * sa + gy * ca
-        tilt = phi + rng.uniform(
-            -profile.orientation_jitter_regular, profile.orientation_jitter_regular
-        )
+        tilt = phi + rng.uniform(-_ORIENTATION_JITTER_REGULAR, _ORIENTATION_JITTER_REGULAR)
         rings.append(_rect_ring(cx, cy, lengths[i], widths[i], tilt))
     return rings
 
 
-def _irregular_areas(rng, n, profile: GeneratorProfile):
+def _irregular_areas(rng, n):
     base = rng.uniform(100.0, 220.0)
-    sigma = profile.sigma_irregular
+    sigma = _SIGMA_IRREGULAR
     for _ in range(50):
         areas = base * np.exp(sigma * rng.standard_normal(n) - sigma * sigma / 2.0)
         mean = areas.mean()
-        if mean > 0 and areas.std() / mean >= profile.min_cv_irregular:
+        if mean > 0 and areas.std() / mean >= _MIN_CV_IRREGULAR:
             return areas
-    raise InfeasiblePacking(
-        f"area dispersion never reached CV {profile.min_cv_irregular} in 50 draws"
-    )
+    raise InfeasiblePacking(f"area dispersion never reached CV {_MIN_CV_IRREGULAR} in 50 draws")
 
 
-def _irregular_group(rng, n, profile: GeneratorProfile):
+def _irregular_group(rng, n):
     """Rings of mixed rectangles and L-shapes, random orientations, packed
     without overlap by rejection sampling on bounding disks."""
-    areas = _irregular_areas(rng, n, profile)
+    areas = _irregular_areas(rng, n)
 
     rings = []
     for i in range(n):
         aspect = rng.uniform(1.0, 3.0)
         length = math.sqrt(areas[i] * aspect)
         width = math.sqrt(areas[i] / aspect)
-        if rng.random() < profile.l_shape_fraction:
+        if rng.random() < _L_SHAPE_FRACTION:
             fx, fy = rng.uniform(0.3, 0.6), rng.uniform(0.3, 0.6)
             ring = _l_shape_ring(length, width, fx, fy)
             scale = math.sqrt(areas[i] / (length * width * (1.0 - fx * fy)))
@@ -432,7 +427,7 @@ def _irregular_group(rng, n, profile: GeneratorProfile):
     radii = [max(math.hypot(x, y) for x, y in ring) for ring in rings]
     order = sorted(range(n), key=lambda i: -radii[i])  # biggest first packs best
 
-    side = math.sqrt(float(np.sum(areas)) / profile.fill_factor)
+    side = math.sqrt(float(np.sum(areas)) / _FILL_FACTOR)
     for _ in range(30):
         placed: list[tuple[float, float, float]] = []  # (cx, cy, radius)
         centers = [None] * n
@@ -444,7 +439,7 @@ def _irregular_group(rng, n, profile: GeneratorProfile):
                 cx = rng.uniform(-side / 2.0, side / 2.0)
                 cy = rng.uniform(-side / 2.0, side / 2.0)
                 if all(
-                    math.hypot(cx - px, cy - py) >= r + pr + profile.min_separation
+                    math.hypot(cx - px, cy - py) >= r + pr + _MIN_SEPARATION
                     for px, py, pr in placed
                 ):
                     hit = (cx, cy)
@@ -466,13 +461,11 @@ def generate_synthetic_dataset(
     n_groups: int = 600,
     size_range: tuple[int, int] = (20, 40),
     seed: int = 42,
-    noise_profile: GeneratorProfile | None = None,
 ) -> Dataset:
     """Balanced synthetic corpus: even group indices are regular, odd are
     irregular.  Each group draws from its own RNG stream seeded by
     (seed, group index), so generation order cannot change the output.
     """
-    profile = noise_profile if noise_profile is not None else GeneratorProfile()
     lo, hi = int(size_range[0]), int(size_range[1])
     if n_groups < 2 or n_groups % 2 != 0:
         raise ValueError("n_groups must be even and at least 2 for balanced classes")
@@ -484,7 +477,7 @@ def generate_synthetic_dataset(
     for i in range(n_groups):
         rng = np.random.default_rng([seed, i])
         n = int(rng.integers(lo, hi + 1))
-        rings = (_regular_group if i % 2 == 0 else _irregular_group)(rng, n, profile)
+        rings = (_regular_group if i % 2 == 0 else _irregular_group)(rng, n)
         made.append((None, f"synthetic-{i:0{width}d}", LABELS[i % 2], rings))
     groups = _build(made)  # every footprint of the corpus in one batch
     return Dataset(groups=groups)

@@ -85,9 +85,6 @@ class BuildingFeatures(NamedTuple):
     area_ratio: float
     compactness: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return tuple(self)
-
 
 class Polygon:
     """A simple closed ring, stored counter-clockwise without a closing

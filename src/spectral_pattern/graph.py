@@ -446,7 +446,7 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
             w = math.exp(-(d * d) / (2.0 * sigma * sigma))
         W[i, j] = W[j, i] = w
 
-    F = np.array([extract_features(p).as_tuple() for p in polys])
+    F = np.array([extract_features(p) for p in polys])
     return SpatialGraph(weights=W, features=F, positions=tuple(pts))
 
 

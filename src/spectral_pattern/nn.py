@@ -2,11 +2,12 @@
 
 Architecture: a stack of polynomial graph-convolution layers (each output
 channel is a learned polynomial in the Laplacian applied across all input
-channels, plus bias, through ReLU), one global pooling step that collapses
-the variable vertex dimension, dropout on the pooled embedding, and a dense
-softmax classifier.  Backpropagation is exact and hand-derived; training
-uses mini-batch Adam or momentum SGD with early stopping on validation
-loss.  Everything is deterministic for a fixed seed when single-threaded.
+channels, plus bias, through ReLU), one global mean-pooling step that
+collapses the variable vertex dimension, dropout on the pooled embedding,
+and a dense softmax classifier.  Backpropagation is exact and
+hand-derived; training uses mini-batch Adam or momentum SGD, with fixed
+constants, and early stopping on validation loss.  Everything is
+deterministic for a fixed seed when single-threaded.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ from .errors import (
 )
 from .graph import GraphConfig, SpatialGraph, laplacian, matrix_of
 
-POOLS = ("mean", "max")
 OPTIMIZERS = ("adam", "sgd")
+# fixed optimizer and early-stopping settings
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_SGD_MOMENTUM = 0.9
+_EARLY_STOP_PATIENCE = 20  # epochs without a better validation loss
 _PROB_FLOOR = 1e-12
 # samples per padded inference batch: larger buckets pad more and cost
 # memory, smaller ones make more small products
@@ -98,20 +104,17 @@ class DenseLayer:
 
 
 class GcnnModel:
-    """Conv stack + pooling + dropout + dense softmax."""
+    """Conv stack + mean pooling + dropout + dense softmax."""
 
-    def __init__(self, conv_layers, dense, pool="mean", dropout_rate=0.5, l2_lambda=5e-4):
+    def __init__(self, conv_layers, dense, dropout_rate=0.5, l2_lambda=5e-4):
         self.conv_layers = list(conv_layers)
         self.dense = dense
-        self.pool = pool
         self.dropout_rate = float(dropout_rate)
         self.l2_lambda = float(l2_lambda)
         # (L, X, tape) of the last forward(..., retain=True), for backward
         self._retained: tuple | None = None
         if not self.conv_layers:
             raise ValueError("model needs at least one conv layer")
-        if pool not in POOLS:
-            raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
@@ -258,13 +261,8 @@ def _probs(model: GcnnModel, L, P, real, counts, rng=None, tape=None) -> np.ndar
     conv layer's pair from `_conv_stack`, then (last activation, dropout
     mask or None, dense input, probabilities).
     """
-    # padded rows become zero; after ReLU every real entry is >= 0, so
-    # zeros there change no maximum either
-    H = _conv_stack(model.conv_layers, L, P, tape) * real
-    if model.pool == "mean":
-        pooled = np.add.reduce(H, axis=-2) / counts  # what H.mean computes unpadded
-    else:
-        pooled = np.maximum.reduce(H, axis=-2)
+    H = _conv_stack(model.conv_layers, L, P, tape) * real  # padded rows become zero
+    pooled = np.add.reduce(H, axis=-2) / counts  # what H.mean computes unpadded
     mask = None
     dropped = pooled
     if rng is not None:
@@ -324,7 +322,7 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
         raise InvalidLabel(f"label {label} outside [0, {model.n_classes})")
 
     n = X.shape[0]
-    *layer_tape, (last_act, mask, dropped, probs) = tape
+    *layer_tape, (_, mask, dropped, probs) = tape
     dlogits = probs.copy()
     dlogits[label] -= 1.0
 
@@ -335,11 +333,7 @@ def backward(model: GcnnModel, L, X, label) -> list[np.ndarray]:
     if mask is not None:
         dh = dh * mask
 
-    if model.pool == "mean":
-        dY = dh / n  # the same row for every vertex, broadcast in dZ below
-    else:
-        dY = np.zeros_like(last_act)
-        dY[np.argmax(last_act, axis=0), np.arange(dY.shape[1])] = dh
+    dY = dh / n  # the same row for every vertex, broadcast in dZ below
 
     grads: list[np.ndarray] = []
     for i in range(len(model.conv_layers) - 1, -1, -1):
@@ -377,11 +371,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum: float = 0.9
-    early_stop_patience: int = 20
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -394,14 +383,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("adam betas must be in (0, 1)")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be at least 1")
 
 
 def optimizer_init(params: Sequence[np.ndarray], config: TrainConfig) -> dict:
@@ -425,17 +406,17 @@ def optimizer_step(state: dict, params, grads, config: TrainConfig):
         t = state["t"] + 1
         new_m, new_v, new_p = [], [], []
         for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * (g * g)
-            m_hat = m / (1.0 - config.beta1**t)
-            v_hat = v / (1.0 - config.beta2**t)
-            new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + config.eps))
+            m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+            v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - _ADAM_BETA1**t)
+            v_hat = v / (1.0 - _ADAM_BETA2**t)
+            new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS))
             new_m.append(m)
             new_v.append(v)
         return new_p, {"t": t, "m": new_m, "v": new_v}
     new_vel, new_p = [], []
     for p, g, vel in zip(params, grads, state["velocity"]):
-        vel = config.momentum * vel - lr * g
+        vel = _SGD_MOMENTUM * vel - lr * g
         new_p.append(p + vel)
         new_vel.append(vel)
     return new_p, {"velocity": new_vel}
@@ -473,7 +454,6 @@ def build_model(
     conv_channels: Sequence[int] = (24, 24, 24, 24),
     order: int = 3,
     n_classes: int = 2,
-    pool: str = "mean",
     dropout_rate: float = 0.5,
     l2_lambda: float = 5e-4,
     seed: int = 0,
@@ -496,7 +476,7 @@ def build_model(
         weights=rng.uniform(-bound, bound, size=(c_prev, n_classes)),
         bias=np.zeros(n_classes),
     )
-    return GcnnModel(layers, dense, pool=pool, dropout_rate=dropout_rate, l2_lambda=l2_lambda)
+    return GcnnModel(layers, dense, dropout_rate=dropout_rate, l2_lambda=l2_lambda)
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,7 +615,7 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
             stale = 0
         else:
             stale += 1
-            if stale >= config.early_stop_patience:
+            if stale >= _EARLY_STOP_PATIENCE:
                 break
 
     model.set_parameters(best_params)
@@ -679,7 +659,7 @@ def _model_payload(model: GcnnModel) -> dict:
             {"theta": l.theta.tolist(), "bias": l.bias.tolist()} for l in model.conv_layers
         ],
         "dense": {"weights": model.dense.weights.tolist(), "bias": model.dense.bias.tolist()},
-        "pool": model.pool,
+        "pool": "mean",  # the only head; kept for readers of the format
         "dropout_rate": model.dropout_rate,
         "l2_lambda": model.l2_lambda,
     }
@@ -714,8 +694,10 @@ def load_checkpoint(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
+    except RecursionError:
+        raise CheckpointError("unreadable checkpoint: nested too deeply") from None
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError("not a checkpoint file")
     if doc["version"] != CHECKPOINT_VERSION:
@@ -734,13 +716,9 @@ def load_checkpoint(path):
         dense = DenseLayer(
             weights=np.array(m["dense"]["weights"]), bias=np.array(m["dense"]["bias"])
         )
-        model = GcnnModel(
-            layers,
-            dense,
-            pool=m["pool"],
-            dropout_rate=m["dropout_rate"],
-            l2_lambda=m["l2_lambda"],
-        )
+        if m["pool"] != "mean":
+            raise ValueError(f"pool must be 'mean', got {m['pool']!r}")
+        model = GcnnModel(layers, dense, dropout_rate=m["dropout_rate"], l2_lambda=m["l2_lambda"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
     return model, payload.get("extra", {})

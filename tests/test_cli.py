@@ -6,7 +6,7 @@ import pytest
 from spectral_pattern import cli
 from spectral_pattern.cli import ExperimentReport, main
 from spectral_pattern.data import generate_synthetic_dataset, save_dataset
-from spectral_pattern.nn import load_checkpoint, save_checkpoint
+from spectral_pattern.nn import _checksum, load_checkpoint, save_checkpoint
 from spectral_pattern.geometry import FEATURE_NAMES
 
 
@@ -169,6 +169,35 @@ class TestExitCodes:
         ckpt.write_text('{"version": 1, "oops": true}')
         assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "content, why",
+        [(b"\xff\xfe{}", "can't decode byte 0xff"), (b"[" * 100_000, "nested too deeply")],
+        ids=["invalid-utf8", "deep-nesting"],
+    )
+    def test_unreadable_checkpoint_is_3(self, data_path, tmp_path, capsys, command, content, why):
+        ckpt = tmp_path / "unreadable.json"
+        ckpt.write_bytes(content)
+        assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
+        err = capsys.readouterr().err
+        assert "data error: unreadable checkpoint" in err and why in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_with_another_pooling_head_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command
+    ):
+        # a well-formed file with a valid checksum, for a head the network lacks
+        doc = json.loads(artifacts["ckpt"].read_text())
+        doc["payload"]["model"]["pool"] = "max"
+        doc["checksum"] = _checksum(doc["payload"])
+        ckpt = tmp_path / "max-pool.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out.ndjson"
+        argv = ["--out", out] if command == "predict" else []
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
+        assert "data error: malformed checkpoint payload: pool" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("extra", ["none", "short standardizer"])
@@ -336,6 +365,13 @@ class TestExitCodes:
                  "--split", "0.5,0.5", *FAST)
         assert rc == 2
         capsys.readouterr()
+
+    def test_nan_split_ratio_is_2_and_named(self, data_path, tmp_path, capsys):
+        rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",
+                 "--split", "0.6,0.2,nan", *FAST)
+        assert rc == 2
+        assert "usage error: ratios must be finite, got (0.6, 0.2, nan)" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep-k", "ablate-features"])
     @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from spectral_pattern.data import (
     LABELS,
     BuildingGroup,
     Dataset,
-    GeneratorProfile,
     Splits,
     Standardizer,
     _allocate,
@@ -371,6 +370,9 @@ class TestSplitDataset:
             split_dataset(ds, (0.5, 0.3, 0.3))
         with pytest.raises(ValueError):
             split_dataset(ds, (0.8, 0.2))
+        # every comparison with NaN is false, so NaN passes the sign and sum checks
+        with pytest.raises(ValueError, match=r"finite, got \(0.6, 0.2, nan\)"):
+            split_dataset(ds, (0.6, 0.2, math.nan))
 
     @given(
         count=st.integers(min_value=0, max_value=1000),
@@ -417,7 +419,7 @@ class TestStandardizer:
         rows = []
         for i in (0, 1):
             for poly in groups[i].buildings:
-                rows.append(extract_features(poly).as_tuple())
+                rows.append(tuple(extract_features(poly)))
         rows = np.array(rows)
         assert np.allclose(std.mean, rows.mean(axis=0), atol=1e-12)
         assert np.allclose(std.std, np.maximum(rows.std(axis=0), 1e-8), atol=1e-12)
@@ -432,7 +434,7 @@ class TestStandardizer:
         groups = [square_group("a", s) for s in (1.0, 2.0, 5.0)]
         splits, _ = fitted(groups, [0, 1, 2])
         rows = np.array([
-            extract_features(p).as_tuple() for g in groups for p in g.buildings
+            tuple(extract_features(p)) for g in groups for p in g.buildings
         ])
         z = np.vstack([s.features for s in splits["train"]])
         assert np.all(np.abs(z.mean(axis=0)) <= 1e-9)
@@ -445,7 +447,7 @@ class TestStandardizer:
         _, std = fitted([group], [0])
         # identical squares: every feature is constant across the pool
         assert np.all(std.std == 1e-8)
-        z = std.transform(extract_features(group.buildings[0]).as_tuple())
+        z = std.transform(tuple(extract_features(group.buildings[0])))
         assert np.all(np.isfinite(z))
 
     def test_empty_split_rejected(self):
@@ -594,14 +596,15 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="size_range"):
             generate_synthetic_dataset(4, (10, 200), seed=1)
 
-    def test_infeasible_packing_raises(self):
-        cramped = GeneratorProfile(fill_factor=1e9)
+    def test_infeasible_packing_raises(self, monkeypatch):
+        monkeypatch.setattr(data, "_FILL_FACTOR", 1e9)
         with pytest.raises(InfeasiblePacking):
-            generate_synthetic_dataset(2, (5, 5), seed=3, noise_profile=cramped)
+            generate_synthetic_dataset(2, (5, 5), seed=3)
 
-    def test_profile_knobs_respected(self):
-        tight = GeneratorProfile(area_cv_regular=0.0, orientation_jitter_regular=0.0)
-        ds = generate_synthetic_dataset(2, (6, 6), seed=21, noise_profile=tight)
+    def test_profile_knobs_respected(self, monkeypatch):
+        monkeypatch.setattr(data, "_AREA_CV_REGULAR", 0.0)
+        monkeypatch.setattr(data, "_ORIENTATION_JITTER_REGULAR", 0.0)
+        ds = generate_synthetic_dataset(2, (6, 6), seed=21)
         g = ds.groups[0]
         assert area_cv(g) <= 1e-12
         assert orientation_spread(g) <= 1e-9

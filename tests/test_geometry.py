@@ -557,7 +557,7 @@ def measures_of(p):
     return (
         polygon_area(p),
         tuple(polygon_centroid(p)),
-        extract_features(p).as_tuple(),
+        tuple(extract_features(p)),
         (r.angle, r.length, r.width, *r.center),
     )
 
@@ -637,7 +637,7 @@ class TestExtractFeatures:
             "area_ratio",
             "compactness",
         )
-        assert f.as_tuple() == (
+        assert tuple(f) == (
             f.area,
             f.main_direction,
             f.length_width_ratio,

@@ -321,7 +321,7 @@ class TestDelaunay:
             pts = [(c.x, c.y) for c in map(polygon_centroid, g.buildings)]
             tri_hash.update(repr(delaunay_triangles(pts)).encode())
             for p in g.buildings:
-                feat_hash.update(repr(extract_features(p).as_tuple()).encode())
+                feat_hash.update(repr(tuple(extract_features(p))).encode())
         assert tri_hash.hexdigest() == (
             "f1379230c3874a2a5dfb9891868dee0ddce1644d61ac345cf815dbad9a9001eb"
         )

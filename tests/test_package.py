@@ -1,12 +1,16 @@
 """The package's import surface, each check in a fresh interpreter so that
-no module this test process imported earlier can hide a missing import."""
+no module this test process imported earlier can hide a missing import,
+and the settings a caller can pass."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import spectral_pattern
+from spectral_pattern import data, nn
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -66,3 +70,20 @@ def test_cli_runs_as_a_module_without_warnings():
     result = fresh_python("-m", "spectral_pattern.cli", "--help")
     assert result.returncode == 0, result.stderr
     assert "exit codes" in result.stdout
+
+
+def test_settings_a_caller_can_pass_are_pinned():
+    # a new setting, or one coming back, has to change this test too
+    assert [f.name for f in dataclasses.fields(nn.TrainConfig)] == [
+        "learning_rate", "epochs", "batch_size", "seed", "optimizer",
+    ]
+    assert list(inspect.signature(nn.build_model).parameters) == [
+        "feature_dim", "conv_channels", "order", "n_classes", "dropout_rate", "l2_lambda", "seed",
+    ]
+    assert list(inspect.signature(nn.GcnnModel.__init__).parameters) == [
+        "self", "conv_layers", "dense", "dropout_rate", "l2_lambda",
+    ]
+    assert list(inspect.signature(data.generate_synthetic_dataset).parameters) == [
+        "n_groups", "size_range", "seed",
+    ]
+    assert not hasattr(data, "GeneratorProfile")
