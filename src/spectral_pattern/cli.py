@@ -29,9 +29,10 @@ from .data import (
     generate_synthetic_dataset,
     load_dataset,
     prepare_inference_samples,
-    prepare_training_samples,
     save_dataset,
     split_dataset,
+    split_graphs,
+    training_samples,
 )
 from .errors import CheckpointError, DataError, NumericError, SpectralPatternError
 from .geometry import FEATURE_NAMES
@@ -97,16 +98,18 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
-def _train_once(dataset, args, order: int, feature_mask=None):
-    """Split -> graphs -> model -> fit.  Returns everything a command needs.
-
-    The model and the training settings are checked before any graph is
-    built, so a bad flag fails at once.
-    """
+def _split(dataset, args):
+    """The split and the graph settings the flags ask for."""
     ds = split_dataset(dataset, _parse_ratios(args.split), args.seed)
     config = GraphConfig(
         structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
     )
+    return ds, config
+
+
+def _untrained(args, order: int, feature_mask=None):
+    """(model, TrainConfig) as the flags ask for them.  Commands make these
+    before building any graph, so a bad flag fails at once."""
     model = build_model(
         feature_dim=len(_mask_indices(feature_mask)),
         conv_channels=(args.channels,) * args.layers,
@@ -122,9 +125,16 @@ def _train_once(dataset, args, order: int, feature_mask=None):
         seed=args.seed,
         optimizer=args.optimizer,
     )
-    splits, standardizer = prepare_training_samples(ds, config, feature_mask)
+    return model, train_config
+
+
+def _fit(ds, graphs, untrained, feature_mask=None):
+    """Standardizes the split's `split_graphs` under the mask and trains the
+    untrained model: (splits, standardizer, model, history)."""
+    model, train_config = untrained
+    splits, standardizer = training_samples(ds, graphs, feature_mask)
     model, history = train(model, splits, train_config)
-    return ds, config, splits, standardizer, model, history
+    return splits, standardizer, model, history
 
 
 def _checkpoint_extra(args, config: GraphConfig, standardizer, feature_mask) -> dict:
@@ -224,8 +234,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
-    _, config, splits, standardizer, model, history = _train_once(dataset, args, order=args.k)
+    ds, config = _split(load_dataset(args.data), args)
+    untrained = _untrained(args, args.k)
+    splits, standardizer, model, history = _fit(ds, split_graphs(ds, config), untrained)
     val_acc, _ = evaluate(model, splits["val"])
     save_checkpoint(args.checkpoint, model, _checkpoint_extra(args, config, standardizer, None))
     if args.history:
@@ -282,12 +293,14 @@ def cmd_sweep_k(args) -> int:
     k_values = sorted({int(x) for x in args.k_values.split(",")})
     if any(not 1 <= k <= 6 for k in k_values):
         raise ValueError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
-    dataset = load_dataset(args.data)
+    ds, config = _split(load_dataset(args.data), args)
+    untrained = {k: _untrained(args, k) for k in k_values}
+    graphs = split_graphs(ds, config)  # K does not change a graph
     rows = []
     for k in k_values:
         start = time.perf_counter()
         try:
-            _, _, splits, _, model, history = _train_once(dataset, args, order=k)
+            splits, _, model, history = _fit(ds, graphs, untrained[k])
         except SpectralPatternError as exc:
             exc.args = (f"k={k}: {exc}",)
             raise
@@ -303,16 +316,19 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_ablate_features(args) -> int:
-    dataset = load_dataset(args.data)
+    ds, config = _split(load_dataset(args.data), args)
+    if args.mode == "only-one":
+        masks = [(i,) for i in range(len(FEATURE_NAMES))]
+    else:
+        masks = [tuple(j for j in range(len(FEATURE_NAMES)) if j != i)
+                 for i in range(len(FEATURE_NAMES))]
+    untrained = [_untrained(args, args.k, mask) for mask in masks]
+    graphs = split_graphs(ds, config)  # the mask picks columns after the graphs
     rows = []
-    for i, name in enumerate(FEATURE_NAMES):
-        if args.mode == "only-one":
-            mask = (i,)
-        else:
-            mask = tuple(j for j in range(len(FEATURE_NAMES)) if j != i)
+    for name, mask, fresh in zip(FEATURE_NAMES, masks, untrained):
         start = time.perf_counter()
         try:
-            _, _, splits, _, model, _ = _train_once(dataset, args, order=args.k, feature_mask=mask)
+            splits, _, model, _ = _fit(ds, graphs, fresh, feature_mask=mask)
         except SpectralPatternError as exc:
             exc.args = (f"feature={name}: {exc}",)
             raise

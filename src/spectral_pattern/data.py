@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabel,
 )
 from .geometry import FEATURE_NAMES, Polygon, polygons
-from .graph import GraphConfig, build_spatial_graph, laplacian
+from .graph import GraphConfig, graph_stacks, laplacian
 from .nn import GraphSample
 
 LABELS = ("regular", "irregular")
@@ -487,23 +487,64 @@ def generate_synthetic_dataset(
 # Model-ready samples
 
 
-def _group_graph(group: BuildingGroup, config: GraphConfig, cols) -> tuple[np.ndarray, np.ndarray]:
-    """(selected feature columns, Laplacian) of one group's graph."""
-    try:
-        g = build_spatial_graph(group.buildings, config)
-    except DuplicatePoints as exc:
-        raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
-    L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
-    return g.features[:, cols], L.values
+def _graphs(groups: Sequence[BuildingGroup], config: GraphConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(unmasked features, Laplacian) of each group's graph, built on stacks
+    of groups with equal vertex count; each pair is a view into its stack's."""
+    stacks, fault = graph_stacks([group.buildings for group in groups], config)
+    if fault is not None:
+        i, exc = fault
+        if isinstance(exc, DuplicatePoints):
+            raise CoincidentCentroids(f"group {groups[i].group_id!r}: {exc}") from exc
+        raise exc
+    out = [None] * len(groups)
+    while stacks:  # a stack's weights are freed once its Laplacians are made
+        index, W, F = stacks.pop()
+        L = laplacian(W, kind=config.laplacian, scaled=config.scaled).values
+        for k, i in enumerate(index.tolist()):
+            out[i] = F[k], L[k]
+    return out
 
 
-def _sample(group: BuildingGroup, feats, L, standardizer: Standardizer) -> GraphSample:
-    return GraphSample(
-        laplacian=L,
-        features=standardizer.transform(feats),
-        label=group.label_index,
-        sample_id=group.group_id,
+def _samples(groups, graphs, cols, standardizer: Standardizer) -> list[GraphSample]:
+    return [
+        GraphSample(
+            laplacian=L,
+            features=standardizer.transform(feats[:, cols]),
+            label=group.label_index,
+            sample_id=group.group_id,
+        )
+        for group, (feats, L) in zip(groups, graphs)
+    ]
+
+
+def split_graphs(dataset: Dataset, graph_config: GraphConfig | None = None) -> dict:
+    """{"train": [...], "val": [...], "test": [...]}: the (unmasked features,
+    Laplacian) pair of each split's groups, all built in one pass.  Neither
+    the filter order nor a feature mask changes them, so one call serves
+    every model trained on the split."""
+    if dataset.splits is None:
+        raise StateError("dataset has no splits; call split_dataset first")
+    if not dataset.splits.train:
+        raise EmptySplit("training split is empty; the standardizer needs training buildings")
+    config = graph_config if graph_config is not None else GraphConfig()
+    names = ("train", "val", "test")
+    graphs = iter(_graphs([g for name in names for g in dataset.split_groups(name)], config))
+    return {name: [next(graphs) for _ in getattr(dataset.splits, name)] for name in names}
+
+
+def training_samples(dataset: Dataset, graphs: dict, feature_mask=None):
+    """Each split's samples from its `split_graphs`, and the Standardizer
+    fitted on the training split's buildings: ({"train": [...], "val":
+    [...], "test": [...]}, Standardizer).  The feature mask (names or
+    indices) is applied before fitting."""
+    cols = list(_mask_indices(feature_mask))
+    train_rows = np.vstack([feats[:, cols] for feats, _ in graphs["train"]])
+    standardizer = Standardizer(
+        mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
     )
+    out = {name: _samples(dataset.split_groups(name), graphs[name], cols, standardizer)
+           for name in ("train", "val", "test")}
+    return out, standardizer
 
 
 def prepare_training_samples(
@@ -517,25 +558,7 @@ def prepare_training_samples(
     The feature mask (names or indices) is applied before fitting, and the
     standardizer sees training buildings only.
     """
-    if dataset.splits is None:
-        raise StateError("dataset has no splits; call split_dataset first")
-    if not dataset.splits.train:
-        raise EmptySplit("training split is empty; the standardizer needs training buildings")
-    config = graph_config if graph_config is not None else GraphConfig()
-    cols = list(_mask_indices(feature_mask))
-
-    train_groups = dataset.split_groups("train")
-    graphs = [_group_graph(group, config, cols) for group in train_groups]
-    train_rows = np.vstack([feats for feats, _ in graphs])
-    standardizer = Standardizer(
-        mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
-    )
-    out = {"train": [_sample(g, *graph, standardizer) for g, graph in zip(train_groups, graphs)]}
-    for name in ("val", "test"):
-        out[name] = prepare_inference_samples(
-            dataset.split_groups(name), standardizer, config, feature_mask
-        )
-    return out, standardizer
+    return training_samples(dataset, split_graphs(dataset, graph_config), feature_mask)
 
 
 def prepare_inference_samples(
@@ -547,4 +570,4 @@ def prepare_inference_samples(
     """Same transform as training time, for unlabeled or held-out groups."""
     config = graph_config if graph_config is not None else GraphConfig()
     cols = list(_mask_indices(feature_mask))
-    return [_sample(group, *_group_graph(group, config, cols), standardizer) for group in groups]
+    return _samples(groups, _graphs(groups, config), cols, standardizer)

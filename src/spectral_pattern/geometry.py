@@ -452,5 +452,23 @@ def min_bounding_rect(p: Polygon) -> OrientedRect:
 
 def extract_features(p: Polygon) -> BuildingFeatures:
     """The five per-building indices, in FEATURE_NAMES order."""
-    area_ratio, compact, area, angle, length, width = p._block.measures[p._row, 2:8].tolist()
-    return tuple.__new__(BuildingFeatures, (area, angle, length / width, area_ratio, compact))
+    return tuple.__new__(BuildingFeatures, _features(p._block.measures[p._row]).tolist())
+
+
+def _features(M: np.ndarray) -> np.ndarray:
+    """The FEATURE_NAMES columns (..., 5) of measures rows M (..., 10)."""
+    return np.stack((M[..., 4], M[..., 5], M[..., 6] / M[..., 7], M[..., 2], M[..., 3]), axis=-1)
+
+
+def _measures(polys: Sequence[Polygon]) -> np.ndarray:
+    """The measures rows of polys, in their order: (len(polys), 10)."""
+    first, blocks, rows, total = {}, [], [], 0
+    for p in polys:
+        block = p._block
+        start = first.get(id(block))
+        if start is None:  # polys keep their blocks alive, so no id is reused
+            start = first[id(block)] = total
+            blocks.append(block.measures)
+            total += len(block.measures)
+        rows.append(start + p._row)
+    return np.concatenate(blocks)[rows] if blocks else np.zeros((0, 10))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     CollinearInput,
     DisconnectedInput,
     DuplicatePoints,
+    GraphError,
     IsolatedVertex,
     NonConvergence,
 )
@@ -26,8 +27,9 @@ from .geometry import (
     Point2,
     Polygon,
     _all_collinear,
+    _features,
+    _measures,
     _on_segment,
-    extract_features,
     polygon_centroid,
 )
 
@@ -77,23 +79,9 @@ class SpatialGraph:
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "features", F)
         object.__setattr__(self, "positions", tuple(self.positions))
-        n = W.shape[0]
-        if W.shape != (n, n):
-            raise ValueError(f"weights must be square, got {W.shape}")
-        if not np.all(np.isfinite(W)) or np.any(W < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        if np.max(np.abs(W - W.T), initial=0.0) > 1e-12:
-            raise ValueError("weights must be symmetric within 1e-12")
-        if np.any(np.diag(W) != 0.0):
-            raise ValueError("weight diagonal must be exactly zero")
-        if F.shape[0] != n or F.shape[1] < 1:
-            raise ValueError(f"features must be (n, d>=1), got {F.shape}")
-        if not np.all(np.isfinite(F)):
-            raise ValueError("features must be finite")
-        if len(self.positions) != n:
-            raise ValueError("positions length must match vertex count")
-        if not _connected(W):
-            raise DisconnectedInput("graph is not connected")
+        fault = _graph_fault(W[None], F[None], len(self.positions))
+        if fault is not None:
+            raise fault[1]
 
     @property
     def n(self) -> int:
@@ -117,19 +105,58 @@ class EigenSystem:
         return self.eigenvalues.shape[0]
 
 
-def _connected(W: np.ndarray) -> bool:
-    """Breadth-first search from vertex 0, one frontier per step."""
-    n = W.shape[0]
+def _connected(W: np.ndarray) -> np.ndarray:
+    """Per graph of the (G, n, n) stack W, whether it is connected: a
+    breadth-first search from vertex 0, one frontier per step."""
+    G, n = W.shape[0], W.shape[-1]
     if n == 0:
-        return False
+        return np.zeros(G, dtype=bool)
     A = W != 0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    seen = np.zeros((G, n), dtype=bool)
+    seen[:, 0] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = A[frontier].any(axis=0) & ~seen
+        frontier = (A & frontier[:, :, None]).any(axis=1) & ~seen
         seen |= frontier
-    return bool(seen.all())
+    return seen.all(axis=1)
+
+
+def _graph_fault(W: np.ndarray, F: np.ndarray, n_positions: int):
+    """(k, error) for the first graph k of a stack, with weights W (G, n, n),
+    features F (G, n, d) and n_positions positions each, that breaks a
+    SpatialGraph invariant, naming the first it breaks; None if none does."""
+    if W.ndim != 3 or W.shape[1] != W.shape[2]:
+        return 0, ValueError(f"weights must be square, got {W.shape[1:]}")
+    G, n = W.shape[:2]
+    features_fit = F.ndim == 3 and F.shape[:2] == (G, n) and F.shape[2] >= 1
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite weights fail first
+        asymmetry = np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    faults = np.select(
+        [
+            ~(np.isfinite(W) & (W >= 0)).all(axis=(1, 2)),
+            asymmetry > 1e-12,
+            (np.diagonal(W, axis1=1, axis2=2) != 0.0).any(axis=1),
+            np.full(G, not features_fit),
+            ~np.isfinite(F).all(axis=(1, 2)) if features_fit else np.zeros(G, dtype=bool),
+            np.full(G, n_positions != n),
+            ~_connected(W),
+        ],
+        [1, 2, 3, 4, 5, 6, 7],
+        0,
+    )
+    bad = np.flatnonzero(faults)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, [
+        ValueError("weights must be finite and nonnegative"),
+        ValueError("weights must be symmetric within 1e-12"),
+        ValueError("weight diagonal must be exactly zero"),
+        ValueError(f"features must be (n, d>=1), got {F.shape[1:]}"),
+        ValueError("features must be finite"),
+        ValueError("positions length must match vertex count"),
+        DisconnectedInput("graph is not connected"),
+    ][faults[k] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +255,10 @@ def _incircle(a, b, c, p, bound) -> int:
     return (det > 0) - (det < 0)
 
 
-def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
-    """Delaunay triangles as sorted index triples, via incremental insertion.
-
-    The predicates are exact.  Points 0 and 1 and the first point not
-    collinear with them make the first triangle; the rest are inserted in
-    input order.  A point exactly on a circumcircle is treated as outside
-    it, so co-circular configurations are resolved by insertion order and
-    the result is deterministic.  Past each hull edge lies a triangle with
-    the infinite vertex, whose circle is the open half-plane beyond the
-    edge together with the edge's open segment: a point exactly on a hull
-    edge, between its ends, is inside it.
-
-    Each point is located by a visibility walk from the last finite
-    triangle made (Devillers, Pion and Teillaud 2002, "Walking in a
-    triangulation"); its conflict region, the triangles whose circle holds
-    it, is then flooded over neighbours from there.  That region is
-    connected and holds the triangle the walk ends in, so with exact
-    predicates it is the one a test of every triangle would find.
-    """
+def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
+    """The live triangles of the incremental Delaunay triangulation of
+    points, as `delaunay_triangles` describes it: (a, b, c) counter-clockwise,
+    and a hull triangle (u, v, _INFINITE) past each hull edge u -> v."""
     pts = [(float(x), float(y)) for x, y in points]
     n = len(pts)
     if n < 3:
@@ -276,13 +288,6 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
         u, v, w = t
         across[u, v] = across[v, w] = across[w, u] = t
 
-    def conflicts(t, p) -> bool:
-        u, v, w = t
-        if w != _INFINITE:
-            return _incircle(pts[u], pts[v], pts[w], p, incircle_bound) > 0
-        side = _orient(pts[u], pts[v], p, orient_bound)
-        return side > 0 or side == 0 and _on_segment(*pts[u], *pts[v], *p)
-
     for idx in [i for i in range(2, n) if i != k]:
         p = px, py = pts[idx]
         # walk: cross any edge with p strictly to its right, until p lies
@@ -290,7 +295,8 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
         # admit no cycle of such steps.
         t, entry = start, None
         while t[2] != _INFINITE:
-            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            a, b, c = t
+            for u, v in ((a, b), (b, c), (c, a)):
                 if (v, u) == entry:
                     continue  # p is on this triangle's side of its entry edge
                 (ux, uy), (vx, vy) = pts[u], pts[v]
@@ -303,20 +309,48 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
             else:
                 break
         # flood the conflict region; its boundary edges keep the direction
-        # they have in the cavity triangle
+        # they have in the cavity triangle.  A neighbour conflicts when p is
+        # strictly inside its circle, or for a hull triangle strictly past
+        # its edge or on the edge's open segment; the float determinants are
+        # `_incircle`'s and `_orient`'s, which decide only within the bound.
         cavity, outside, stack, boundary = {t}, set(), [t], []
         while stack:
             u, v, w = stack.pop()
-            for e in ((u, v), (v, w), (w, u)):
-                nb = across[e[1], e[0]]
+            for back in ((v, u), (w, v), (u, w)):  # each edge as its neighbour has it
+                nb = across[back]
                 if nb in cavity:
                     continue
-                if nb not in outside and conflicts(nb, p):
+                a, b, c = nb
+                if nb in outside:
+                    hit = False
+                elif c != _INFINITE:
+                    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+                    adx, ady = ax - px, ay - py
+                    bdx, bdy = bx - px, by - py
+                    cdx, cdy = cx - px, cy - py
+                    det = (
+                        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+                        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+                        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+                    )
+                    hit = det > incircle_bound or det >= -incircle_bound and _incircle(
+                        pts[a], pts[b], pts[c], p, incircle_bound) > 0
+                else:
+                    (ax, ay), (bx, by) = pts[a], pts[b]
+                    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                    if det > orient_bound:
+                        hit = True
+                    elif det < -orient_bound:
+                        hit = False
+                    else:
+                        side = _orient(pts[a], pts[b], p, orient_bound)
+                        hit = side > 0 or side == 0 and _on_segment(ax, ay, bx, by, px, py)
+                if hit:
                     cavity.add(nb)
                     stack.append(nb)
                 else:
                     outside.add(nb)
-                    boundary.append(e)
+                    boundary.append((back[1], back[0]))
         # every conflicting triangle has p strictly inside its circle, so
         # the cavity is star-shaped from p: join p to each boundary edge
         live -= cavity
@@ -330,16 +364,41 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
             live.add(t)
             u, v, w = t
             across[u, v] = across[v, w] = across[w, u] = t
+    return live
 
-    return sorted(tuple(sorted(t)) for t in live if t[2] != _INFINITE)
+
+def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
+    """Delaunay triangles as sorted index triples, via incremental insertion.
+
+    The predicates are exact.  Points 0 and 1 and the first point not
+    collinear with them make the first triangle; the rest are inserted in
+    input order.  A point exactly on a circumcircle is treated as outside
+    it, so co-circular configurations are resolved by insertion order and
+    the result is deterministic.  Past each hull edge lies a triangle with
+    the infinite vertex, whose circle is the open half-plane beyond the
+    edge together with the edge's open segment: a point exactly on a hull
+    edge, between its ends, is inside it.
+
+    Each point is located by a visibility walk from the last finite
+    triangle made (Devillers, Pion and Teillaud 2002, "Walking in a
+    triangulation"); its conflict region, the triangles whose circle holds
+    it, is then flooded over neighbours from there.  That region is
+    connected and holds the triangle the walk ends in, so with exact
+    predicates it is the one a test of every triangle would find.
+    """
+    return sorted(tuple(sorted(t)) for t in _live_triangles(points) if t[2] != _INFINITE)
 
 
 def delaunay_triangulate(points: Iterable) -> list[tuple[int, int]]:
     """Edge set of the Delaunay triangulation, as sorted (i, j) pairs."""
-    edges = set()
-    for a, b, c in delaunay_triangles(points):
-        edges.update([(a, b), (b, c), (a, c)])
-    return sorted(edges)
+    # each finite edge is directed one way in one live triangle and the
+    # other way in the triangle across it: read it where it runs upward
+    return sorted([
+        (u, v)
+        for a, b, c in _live_triangles(points)
+        for u, v in ((a, b), (b, c), (c, a))
+        if _INFINITE < u < v
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +461,86 @@ def _principal_axis_path(pts: list[tuple[float, float]]) -> list[tuple[int, int]
     return [(int(min(a, b)), int(max(a, b))) for a, b in zip(order[:-1], order[1:])]
 
 
+def _group_edges(pts: list, config: GraphConfig):
+    """(edges, weights) of the graph over one group's centroids pts: sorted
+    (i, j) pairs, and their weights in that order, or None for binary ones."""
+    try:
+        edges = delaunay_triangulate(pts)
+    except CollinearInput:
+        edges = _principal_axis_path(pts)
+    if config.structure == "dt" and config.weighting == "binary":
+        return edges, None
+    dist = [math.hypot(pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]) for i, j in edges]
+    if config.weighting == "gaussian":
+        sigma = sum(dist) / len(dist)  # over the DT edges, also for the MST
+    if config.structure == "mst":
+        length = dict(zip(edges, dist))
+        edges = minimum_spanning_tree(len(pts), [(i, j, d) for (i, j), d in zip(edges, dist)])
+        dist = [length[e] for e in edges]
+    if config.weighting == "binary":
+        return edges, None
+    if config.weighting == "invdist":
+        return edges, [1.0 / d for d in dist]
+    return edges, [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in dist]
+
+
+class GraphStack(NamedTuple):
+    """The graphs of groups with one vertex count n: the groups' indices
+    (G,), weights (G, n, n) and features (G, n, 5)."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    features: np.ndarray
+
+
+def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None = None):
+    """The graphs of groups of footprints, as `build_spatial_graph` makes
+    them, in stacks of groups with equal vertex count.
+
+    Returns (stacks, None), or ([], (index, error)) for the first group
+    whose graph cannot be made.  Only the edges are found group by group;
+    the weights, the SpatialGraph checks and the features are done a stack
+    at a time.
+    """
+    if config is None:
+        config = GraphConfig()
+    M = _measures([p for group in groups for p in group])
+    features = _features(M)
+    found, faults, start = [], [], 0  # found: (first row in M, edges, weights)
+    for i, group in enumerate(groups):
+        n = len(group)
+        try:
+            if n < 3:
+                raise ValueError(f"a group needs at least 3 buildings, got {n}")
+            edges, w = _group_edges(M[start : start + n, :2].tolist(), config)
+        except (GraphError, ValueError) as exc:
+            faults.append((i, exc))
+            break
+        found.append((start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)))
+        start += n
+    del M
+
+    by_size: dict[int, list[int]] = {}
+    for i in range(len(found)):
+        by_size.setdefault(len(groups[i]), []).append(i)
+    stacks = []
+    for n, members in by_size.items():
+        rows = np.array([found[i][0] for i in members])[:, None] + np.arange(n)
+        E = np.concatenate([found[i][1] for i in members])
+        graph = np.repeat(np.arange(len(members)), [len(found[i][1]) for i in members])
+        w = 1.0 if config.weighting == "binary" else np.concatenate([found[i][2] for i in members])
+        W = np.zeros((len(members), n, n))
+        W[graph, E[:, 0], E[:, 1]] = w
+        W[graph, E[:, 1], E[:, 0]] = w
+        stacks.append(GraphStack(np.array(members), W, features[rows]))
+        bad = _graph_fault(W, stacks[-1].features, n)
+        if bad is not None:
+            faults.append((members[bad[0]], bad[1]))
+    if faults:
+        return [], min(faults, key=lambda fault: fault[0])
+    return stacks, None
+
+
 def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:
     """Graph over centroids of a building group.
 
@@ -410,44 +549,13 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
     graph ordered along the principal axis.  Features are the raw per-building
     shape indices; standardization is a training-pipeline concern.
     """
-    if config is None:
-        config = GraphConfig()
     polys = list(group)
-    if len(polys) < 3:
-        raise ValueError(f"a group needs at least 3 buildings, got {len(polys)}")
-    pts = [polygon_centroid(p) for p in polys]
-
-    try:
-        base_edges = delaunay_triangulate(pts)
-    except CollinearInput:
-        base_edges = _principal_axis_path(pts)
-
-    def dist(e):
-        (x1, y1), (x2, y2) = pts[e[0]], pts[e[1]]
-        return math.hypot(x2 - x1, y2 - y1)
-
-    if config.structure == "mst":
-        edges = minimum_spanning_tree(len(pts), [(i, j, dist((i, j))) for i, j in base_edges])
-    else:
-        edges = base_edges
-
-    if config.weighting == "gaussian":
-        sigma = sum(dist(e) for e in base_edges) / len(base_edges)
-
-    n = len(pts)
-    W = np.zeros((n, n))
-    for i, j in edges:
-        d = dist((i, j))
-        if config.weighting == "binary":
-            w = 1.0
-        elif config.weighting == "invdist":
-            w = 1.0 / d
-        else:
-            w = math.exp(-(d * d) / (2.0 * sigma * sigma))
-        W[i, j] = W[j, i] = w
-
-    F = np.array([extract_features(p) for p in polys])
-    return SpatialGraph(weights=W, features=F, positions=tuple(pts))
+    stacks, fault = graph_stacks([polys], config)
+    if fault is not None:
+        raise fault[1]
+    (stack,) = stacks
+    positions = [polygon_centroid(p) for p in polys]
+    return SpatialGraph(weights=stack.weights[0], features=stack.features[0], positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -459,42 +567,54 @@ def matrix_of(L) -> np.ndarray:
     return L.values if isinstance(L, LaplacianMatrix) else np.asarray(L, dtype=float)
 
 
+def _gershgorin(A: np.ndarray) -> np.ndarray:
+    """Per matrix of A (..., n, n): max over rows of diag + off-diagonal
+    absolute sum."""
+    d = np.diagonal(A, axis1=-2, axis2=-1)
+    return np.max(d + (np.sum(np.abs(A), axis=-1) - np.abs(d)), axis=-1)
+
+
 def lambda_upper_bound(L) -> float:
     """Gershgorin bound: max over rows of diag + off-diagonal absolute sum.
 
     Exact arithmetic on matrix entries, so it is invariant under vertex
     relabeling, unlike an iterative eigenvalue estimate.
     """
-    A = matrix_of(L)
-    d = np.diag(A)
-    return float(np.max(d + (np.sum(np.abs(A), axis=1) - np.abs(d))))
+    return float(_gershgorin(matrix_of(L)))
 
 
 def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
-    """Graph Laplacian of a SpatialGraph (or a raw weights matrix).
+    """Graph Laplacian of a SpatialGraph, a raw weights matrix, or each
+    matrix of a (G, n, n) stack of them.
 
     comb: D - W.  sym: I - D^-1/2 W D^-1/2.  With scaled=True the matrix is
     mapped to 2 L / lambda_up - I with lambda_up the Gershgorin upper bound,
-    which keeps the spectrum inside [-1, 1] without an eigensolve.
+    which keeps the spectrum inside [-1, 1] without an eigensolve.  A stack
+    gives a stack, each matrix equal bit for bit to its own Laplacian.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
     W = g.weights if isinstance(g, SpatialGraph) else np.asarray(g, dtype=float)
-    deg = W.sum(axis=1)
+    n = W.shape[-1]
+    eye = np.eye(n)
+    deg = W.sum(axis=-1)
     if kind == "comb":
-        L = np.diag(deg) - W
+        L = np.zeros(W.shape)
+        L[..., range(n), range(n)] = deg
+        L -= W
     else:
         if np.any(deg <= 0):
-            raise IsolatedVertex(f"vertex {int(np.argmin(deg))} has zero degree")
+            where = np.argwhere(deg <= 0)[0]  # the first graph with one
+            rows = deg[tuple(where[:-1])]
+            graph = f"graph {int(where[0])}: " if deg.ndim > 1 else ""
+            raise IsolatedVertex(f"{graph}vertex {int(np.argmin(rows))} has zero degree")
         inv_sqrt = 1.0 / np.sqrt(deg)
-        L = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W * inv_sqrt[None, :])
-    L = (L + L.T) / 2.0  # kill rounding asymmetry
+        L = eye - (inv_sqrt[..., :, None] * W * inv_sqrt[..., None, :])
+    L = (L + np.swapaxes(L, -1, -2)) / 2.0  # kill rounding asymmetry
     if scaled:
-        lam_up = lambda_upper_bound(L)
-        if lam_up <= 0:  # zero matrix: spectrum is {0}, center it
-            L = -np.eye(W.shape[0])
-        else:
-            L = (2.0 / lam_up) * L - np.eye(W.shape[0])
+        lam_up = _gershgorin(L)[..., None, None]
+        flat = lam_up <= 0  # zero matrix: spectrum is {0}, center it
+        L = np.where(flat, -eye, (2.0 / np.where(flat, 1.0, lam_up)) * L - eye)
     return LaplacianMatrix(values=L)
 
 

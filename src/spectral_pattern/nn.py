@@ -463,6 +463,11 @@ def build_model(
     Conv thetas are uniform in +-sqrt(6 / (K*c_in + K*c_out)), dense weights
     uniform in +-sqrt(6 / (c_in + c_classes)); biases start at zero.
     """
+    if order < 1:
+        raise ValueError(f"filter order K must be at least 1, got {order}")
+    for c_out in conv_channels:
+        if c_out < 1:
+            raise ValueError(f"conv channel counts must be at least 1, got {c_out}")
     rng = np.random.default_rng(seed)
     layers = []
     c_prev = int(feature_dim)

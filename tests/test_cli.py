@@ -383,13 +383,32 @@ class TestExitCodes:
         self, data_path, tmp_path, capsys, monkeypatch, command, flag
     ):
         built = []
-        monkeypatch.setattr(cli, "prepare_training_samples", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "split_graphs", lambda *a: built.append(a))
         out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
         rc = run(command, "--data", data_path, *out, *FAST, *flag)
         assert rc == 2
         assert built == []
         assert not (tmp_path / "out").exists()
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate-features"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(("--k", "0"), "order K must be at least 1, got 0"),
+         (("--k", "-1"), "order K must be at least 1, got -1"),
+         (("--channels", "-3"), "channel counts must be at least 1, got -3"),
+         (("--channels", "0"), "channel counts must be at least 1, got 0")],
+    )
+    def test_bad_order_or_channels_is_2_and_named(
+        self, data_path, tmp_path, capsys, monkeypatch, command, flag, message
+    ):
+        built = []
+        monkeypatch.setattr(cli, "split_graphs", lambda *a: built.append(a))
+        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+        rc = run(command, "--data", data_path, *out, *FAST, *flag)
+        assert rc == 2 and built == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
 
     def test_insufficient_class_is_3(self, tmp_path, capsys):
         ds = generate_synthetic_dataset(n_groups=4, size_range=(3, 4), seed=23)

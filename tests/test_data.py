@@ -22,6 +22,9 @@ from spectral_pattern.data import (
     split_dataset,
 )
 from spectral_pattern.errors import (
+    CoincidentCentroids,
+    CollinearInput,
+    DuplicatePoints,
     EmptySplit,
     InfeasiblePacking,
     InsufficientSamples,
@@ -35,6 +38,18 @@ from spectral_pattern.geometry import (
     Polygon,
     extract_features,
     polygon_area,
+    polygon_centroid,
+    polygons,
+)
+from spectral_pattern.graph import (
+    LAPLACIAN_KINDS,
+    STRUCTURES,
+    WEIGHTINGS,
+    GraphConfig,
+    SpatialGraph,
+    _principal_axis_path,
+    delaunay_triangles,
+    minimum_spanning_tree,
 )
 
 from conftest import rect_ring
@@ -669,3 +684,180 @@ class TestPrepareSamples:
         samples = prepare_inference_samples([group], std)
         assert samples[0].label is None
         assert samples[0].features.shape == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# The graph builder against the group-by-group loop it replaced
+
+ALL_CONFIGS = [GraphConfig(s, w, k) for s in STRUCTURES for w in WEIGHTINGS for k in LAPLACIAN_KINDS]
+
+
+def reference_features(p):
+    """`extract_features` as one footprint's tuple, read off its measures row."""
+    area_ratio, compact, area, angle, length, width = p._block.measures[p._row, 2:8].tolist()
+    return (area, angle, length / width, area_ratio, compact)
+
+
+def reference_graph(polys, config):
+    """(features, weights) of one group, as `build_spatial_graph` made them
+    one group at a time, with the same SpatialGraph checks."""
+    pts = [polygon_centroid(p) for p in polys]
+    try:
+        base_edges = sorted({e for a, b, c in delaunay_triangles(pts) for e in ((a, b), (b, c), (a, c))})
+    except CollinearInput:
+        base_edges = _principal_axis_path(pts)
+
+    def dist(e):
+        (x1, y1), (x2, y2) = pts[e[0]], pts[e[1]]
+        return math.hypot(x2 - x1, y2 - y1)
+
+    if config.structure == "mst":
+        edges = minimum_spanning_tree(len(pts), [(i, j, dist((i, j))) for i, j in base_edges])
+    else:
+        edges = base_edges
+    if config.weighting == "gaussian":
+        sigma = sum(dist(e) for e in base_edges) / len(base_edges)
+    n = len(pts)
+    W = np.zeros((n, n))
+    for i, j in edges:
+        d = dist((i, j))
+        if config.weighting == "binary":
+            w = 1.0
+        elif config.weighting == "invdist":
+            w = 1.0 / d
+        else:
+            w = math.exp(-(d * d) / (2.0 * sigma * sigma))
+        W[i, j] = W[j, i] = w
+    F = np.array([reference_features(p) for p in polys])
+    SpatialGraph(weights=W, features=F, positions=pts)
+    return F, W
+
+
+def reference_laplacian(W, kind, scaled):
+    """`laplacian` of one weights matrix, as it was before it took stacks."""
+    deg = W.sum(axis=1)
+    if kind == "comb":
+        L = np.diag(deg) - W
+    else:
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        L = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W * inv_sqrt[None, :])
+    L = (L + L.T) / 2.0
+    if scaled:
+        d = np.diag(L)
+        lam_up = float(np.max(d + (np.sum(np.abs(L), axis=1) - np.abs(d))))
+        L = -np.eye(W.shape[0]) if lam_up <= 0 else (2.0 / lam_up) * L - np.eye(W.shape[0])
+    return L
+
+
+def reference_samples(groups, standardizer, config, cols):
+    """[(Laplacian, standardized features)] of each group, or the error of
+    the first group in order whose graph cannot be made."""
+    out = []
+    for group in groups:
+        try:
+            F, W = reference_graph(group.buildings, config)
+        except DuplicatePoints as exc:
+            raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
+        out.append((reference_laplacian(W, config.laplacian, config.scaled),
+                    standardizer.transform(F[:, cols])))
+    return out
+
+
+def outcome(make):
+    try:
+        return make()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_arrays(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def building_groups(draw):
+    """1-5 groups of 3-128 rectangles, several often of one size: centres
+    scattered, on an exact or a jittered grid (co-circular and near
+    co-circular centroids), or on one line (the path fallback); in about one
+    group of six a footprint is repeated, so two centroids coincide.
+    Offsets of 0 or 1e6 m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = st.sampled_from([3, 4, 5, 9, 20, 33, 128]) | st.integers(3, 128)
+    sizes = draw(st.lists(size, min_size=1, max_size=5))
+    off = draw(st.sampled_from([0.0, 1e6]))
+    rings, groups = [], []
+    for n in sizes:
+        kind = draw(st.sampled_from(["scatter", "grid", "jittered grid", "line"]))
+        if kind == "line":
+            ang = float(rng.choice([0.0, 45.0, rng.uniform(0.0, 180.0)]))
+            t = np.sort(rng.uniform(0.0, 30.0 * n, n))
+            centres = np.stack((t * math.cos(math.radians(ang)), t * math.sin(math.radians(ang))), 1)
+        elif kind == "scatter":
+            centres = rng.uniform(0.0, 15.0 * math.sqrt(n), (n, 2))
+        else:
+            cols = math.ceil(math.sqrt(n))
+            centres = 12.0 * np.array([divmod(k, cols) for k in range(n)], dtype=float)
+            if kind == "jittered grid":
+                centres += rng.uniform(-1.0, 1.0, (n, 2))
+        group = [rect_ring(off + x, off + y, *rng.uniform(2.0, 8.0, 2), rng.uniform(0.0, 180.0))
+                 for x, y in centres]
+        if rng.random() < 1 / 6:
+            group[int(rng.integers(1, n))] = group[0]
+        groups.append(len(group))
+        rings += group
+    made = iter(polygons(rings))
+    return [BuildingGroup(f"g{i}", tuple(next(made) for _ in range(n)))
+            for i, n in enumerate(groups)]
+
+
+class TestGraphBuilder:
+    @settings(max_examples=60, deadline=None)
+    @given(building_groups(), st.sampled_from([None, ("area",), (4, 1), (0, 2, 3)]))
+    def test_matches_the_group_by_group_loop(self, groups, mask):
+        # every config, bit for bit and with equal strides; or the same
+        # error, for the same group
+        cols = list(data._mask_indices(mask))
+        std = Standardizer(mean=np.linspace(-1.0, 1.0, len(cols)), std=np.linspace(0.5, 2.0, len(cols)))
+        for config in ALL_CONFIGS:
+            want = outcome(lambda: reference_samples(groups, std, config, cols))
+            got = outcome(lambda: prepare_inference_samples(groups, std, config, mask))
+            if isinstance(want, tuple):
+                assert got == want, config
+                continue
+            assert len(got) == len(want)
+            for group, sample, (L, X) in zip(groups, got, want):
+                assert sample.sample_id == group.group_id
+                assert_same_arrays(sample.laplacian, L)
+                assert_same_arrays(sample.features, X)
+
+    def test_training_samples_match_the_loop(self):
+        ds = split_dataset(generate_synthetic_dataset(40, (3, 30), seed=31), seed=5)
+        for config in (GraphConfig(), GraphConfig("mst", "gaussian", "comb")):
+            splits, std = prepare_training_samples(ds, config, ("area", "compactness"))
+            cols = [0, 4]
+            train = ds.split_groups("train")
+            rows = np.vstack([reference_graph(g.buildings, config)[0][:, cols] for g in train])
+            assert std.mean.tobytes() == rows.mean(axis=0).tobytes()
+            assert std.std.tobytes() == np.maximum(rows.std(axis=0), 1e-8).tobytes()
+            for name in ("train", "val", "test"):
+                want = reference_samples(ds.split_groups(name), std, config, cols)
+                for sample, (L, X) in zip(splits[name], want):
+                    assert_same_arrays(sample.laplacian, L)
+                    assert_same_arrays(sample.features, X)
+
+    def test_coincident_centroids_name_the_first_group_in_order(self):
+        # the later twin group has fewer buildings, so its stack comes first
+        def group(gid, n, twin):
+            rings = [rect_ring(15.0 * k, 7.0 * (k % 2), 4.0, 3.0, 10.0) for k in range(n)]
+            if twin:
+                rings[2] = rings[0]
+            return BuildingGroup(gid, tuple(polygons(rings)))
+
+        groups = [group("ok", 6, False), group("first", 9, True), group("ok2", 9, False),
+                  group("second", 4, True)]
+        std = Standardizer(mean=np.zeros(5), std=np.ones(5))
+        with pytest.raises(CoincidentCentroids, match="group 'first': points 0 and 2 coincide"):
+            prepare_inference_samples(groups, std)
+        with pytest.raises(CoincidentCentroids, match="group 'second'"):
+            prepare_inference_samples([groups[0], groups[3], groups[1]], std)

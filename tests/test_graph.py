@@ -26,6 +26,7 @@ from spectral_pattern.geometry import (
 )
 from spectral_pattern.graph import (
     _INFINITE,
+    LAPLACIAN_KINDS,
     EigenSystem,
     GraphConfig,
     LaplacianMatrix,
@@ -285,6 +286,13 @@ class TestDelaunay:
         for family, pts in families:
             assert delaunay_triangles(pts) == scan_delaunay_triangles(pts), (family, pts[0])
 
+    def test_edges_match_the_triangles(self, rng, wide_corpus):
+        # the edges read off the live triangles are the triangles' sides
+        families = list(delaunay_point_sets(rng)) + [("wide corpus", pts) for pts in wide_corpus]
+        for family, pts in families:
+            sides = {e for a, b, c in delaunay_triangles(pts) for e in ((a, b), (b, c), (a, c))}
+            assert delaunay_triangulate(pts) == sorted(sides), (family, pts[0])
+
     def test_incircle_calls_per_point(self, monkeypatch, wide_corpus):
         # the scan makes about 80 in-circle tests per inserted point on this
         # corpus; the walk tests only the cavity and its rim
@@ -515,6 +523,21 @@ class TestSpatialGraphInvariants:
     def feat(self, n):
         return np.ones((n, 2))
 
+    def test_stack_names_its_first_bad_graph(self, rng):
+        W = np.stack([random_connected_graph(rng, 4) for _ in range(4)])
+        F = np.ones((4, 4, 2))
+        assert graph._graph_fault(W, F, 4) is None
+        W[3, 0, 1] = 0.5  # asymmetric
+        W[1, 0, :] = W[1, :, 0] = 0.0  # vertex 0 cut off
+        k, err = graph._graph_fault(W, F, 4)
+        assert k == 1 and isinstance(err, DisconnectedInput)
+        F[1, 2, 0] = np.inf  # graph 1 now fails its features check first
+        k, err = graph._graph_fault(W, F, 4)
+        assert k == 1 and str(err) == "features must be finite"
+        k, err = graph._graph_fault(W[2:], F[2:], 4)
+        assert k == 1 and str(err) == "weights must be symmetric within 1e-12"
+        assert str(graph._graph_fault(W, F, 3)[1]) == "positions length must match vertex count"
+
     def pos(self, n):
         return tuple(Point2(i, 0) for i in range(n))
 
@@ -603,6 +626,30 @@ class TestLaplacian:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             laplacian(P2, kind="walk")
+
+    @pytest.mark.parametrize("n", [2, 7, 33])
+    def test_stack_matches_each_matrix(self, rng, n):
+        # bit for bit and with equal strides, for every kind; the zero
+        # matrix takes the centring branch of the scaled comb Laplacian
+        W = np.stack([random_connected_graph(rng, n) for _ in range(5)])
+        W[1] *= 1e-3
+        for kind in LAPLACIAN_KINDS:
+            for scaled in (True, False):
+                stack = laplacian(W, kind=kind, scaled=scaled).values
+                assert stack.shape == W.shape
+                for k in range(len(W)):
+                    one = laplacian(W[k], kind=kind, scaled=scaled).values
+                    assert stack[k].tobytes() == one.tobytes() and stack[k].strides == one.strides
+        W[2] = 0.0
+        for scaled in (True, False):
+            stack = laplacian(W, kind="comb", scaled=scaled).values
+            assert stack[2].tobytes() == laplacian(W[2], kind="comb", scaled=scaled).values.tobytes()
+
+    def test_isolated_vertex_in_a_stack_names_the_graph(self, rng):
+        W = np.stack([random_connected_graph(rng, 4) for _ in range(3)])
+        W[2, 3, :] = W[2, :, 3] = 0.0
+        with pytest.raises(IsolatedVertex, match="graph 2: vertex 3 has zero degree"):
+            laplacian(W, kind="sym")
 
 
 class TestEigendecompose:

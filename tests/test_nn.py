@@ -914,6 +914,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="l2_lambda"):
             build_model(3, (4,), l2_lambda=l2)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_must_be_at_least_1(self, order):
+        with pytest.raises(ValueError, match=f"order K must be at least 1, got {order}"):
+            build_model(3, (4,), order=order)
+
+    @pytest.mark.parametrize("channels", [(0,), (-3,), (4, -1)])
+    def test_channel_counts_must_be_at_least_1(self, channels):
+        with pytest.raises(ValueError, match=f"at least 1, got {min(channels)}"):
+            build_model(3, channels)
+
     def test_build_model_shapes(self):
         m = build_model(5, (24, 24, 24, 24), order=3)
         assert m.feature_dim == 5
