@@ -128,15 +128,6 @@ def _untrained(args, order: int, feature_mask=None):
     return model, train_config
 
 
-def _fit(ds, graphs, untrained, feature_mask=None):
-    """Standardizes the split's `split_graphs` under the mask and trains the
-    untrained model: (splits, standardizer, model, history)."""
-    model, train_config = untrained
-    splits, standardizer = training_samples(ds, graphs, feature_mask)
-    model, history = train(model, splits, train_config)
-    return splits, standardizer, model, history
-
-
 def _checkpoint_extra(args, config: GraphConfig, standardizer, feature_mask) -> dict:
     mask = list(feature_mask) if feature_mask is not None else None
     return {
@@ -235,8 +226,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     ds, config = _split(load_dataset(args.data), args)
-    untrained = _untrained(args, args.k)
-    splits, standardizer, model, history = _fit(ds, split_graphs(ds, config), untrained)
+    model, train_config = _untrained(args, args.k)
+    splits, standardizer = training_samples(ds, split_graphs(ds, config))
+    model, history = train(model, splits, train_config)
     val_acc, _ = evaluate(model, splits["val"])
     save_checkpoint(args.checkpoint, model, _checkpoint_extra(args, config, standardizer, None))
     if args.history:
@@ -300,7 +292,9 @@ def cmd_sweep_k(args) -> int:
     for k in k_values:
         start = time.perf_counter()
         try:
-            splits, _, model, history = _fit(ds, graphs, untrained[k])
+            model, train_config = untrained[k]
+            splits, _ = training_samples(ds, graphs)
+            model, history = train(model, splits, train_config)
         except SpectralPatternError as exc:
             exc.args = (f"k={k}: {exc}",)
             raise
@@ -325,10 +319,11 @@ def cmd_ablate_features(args) -> int:
     untrained = [_untrained(args, args.k, mask) for mask in masks]
     graphs = split_graphs(ds, config)  # the mask picks columns after the graphs
     rows = []
-    for name, mask, fresh in zip(FEATURE_NAMES, masks, untrained):
+    for name, mask, (model, train_config) in zip(FEATURE_NAMES, masks, untrained):
         start = time.perf_counter()
         try:
-            splits, _, model, _ = _fit(ds, graphs, fresh, feature_mask=mask)
+            splits, _ = training_samples(ds, graphs, mask)
+            model, _ = train(model, splits, train_config)
         except SpectralPatternError as exc:
             exc.args = (f"feature={name}: {exc}",)
             raise

@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabel,
 )
 from .geometry import FEATURE_NAMES, Polygon, polygons
-from .graph import GraphConfig, graph_stacks, laplacian
+from .graph import GraphConfig, _graph_fault, graph_stacks, laplacian
 from .nn import GraphSample
 
 LABELS = ("regular", "irregular")
@@ -489,19 +489,24 @@ def generate_synthetic_dataset(
 
 def _graphs(groups: Sequence[BuildingGroup], config: GraphConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(unmasked features, Laplacian) of each group's graph, built on stacks
-    of groups with equal vertex count; each pair is a view into its stack's."""
+    of groups with equal vertex count; each pair is a view into its stack's.
+    A stack's weights are freed once its Laplacians are made."""
     stacks, fault = graph_stacks([group.buildings for group in groups], config)
-    if fault is not None:
-        i, exc = fault
+    faults = [] if fault is None else [fault]
+    out = [None] * len(groups)
+    for index, W, F, _ in stacks:
+        bad = _graph_fault(W, F, W.shape[-1])
+        if bad is not None:
+            faults.append((int(index[bad[0]]), bad[1]))
+        elif not faults:
+            L = laplacian(W, kind=config.laplacian, scaled=config.scaled).values
+            for k, i in enumerate(index.tolist()):
+                out[i] = F[k], L[k]
+    if faults:
+        i, exc = min(faults, key=lambda fault: fault[0])
         if isinstance(exc, DuplicatePoints):
             raise CoincidentCentroids(f"group {groups[i].group_id!r}: {exc}") from exc
         raise exc
-    out = [None] * len(groups)
-    while stacks:  # a stack's weights are freed once its Laplacians are made
-        index, W, F = stacks.pop()
-        L = laplacian(W, kind=config.laplacian, scaled=config.scaled).values
-        for k, i in enumerate(index.tolist()):
-            out[i] = F[k], L[k]
     return out
 
 

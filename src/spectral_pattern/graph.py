@@ -30,7 +30,6 @@ from .geometry import (
     _features,
     _measures,
     _on_segment,
-    polygon_centroid,
 )
 
 STRUCTURES = ("dt", "mst")
@@ -38,6 +37,7 @@ WEIGHTINGS = ("binary", "invdist", "gaussian")
 LAPLACIAN_KINDS = ("comb", "sym")
 
 _COINCIDENT_EPS = 1e-9  # meters
+_STACK_ENTRIES = 1 << 16  # weight entries per stack: bounds the arrays a stacked step holds
 
 
 @dataclass(frozen=True)
@@ -106,19 +106,31 @@ class EigenSystem:
 
 
 def _connected(W: np.ndarray) -> np.ndarray:
-    """Per graph of the (G, n, n) stack W, whether it is connected: a
-    breadth-first search from vertex 0, one frontier per step."""
+    """Per graph of the (G, n, n) stack W, whether it is connected.  Each
+    vertex of the stack points at the lowest vertex it is known to reach;
+    every round joins, across each edge whose ends point apart, the higher
+    of the two to the lower, then points every vertex at the end of its
+    chain.  A graph is connected when all its vertices reach its vertex 0."""
     G, n = W.shape[0], W.shape[-1]
     if n == 0:
         return np.zeros(G, dtype=bool)
-    A = W != 0
-    seen = np.zeros((G, n), dtype=bool)
-    seen[:, 0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = (A & frontier[:, :, None]).any(axis=1) & ~seen
-        seen |= frontier
-    return seen.all(axis=1)
+    g, i, j = np.nonzero(W)
+    u, v = g * n + i, g * n + j
+    low = np.arange(G * n)
+    while True:
+        lu, lv = low[u], low[v]
+        apart = lu != lv
+        if not apart.any():
+            break
+        # lu and lv point at themselves; pointing the higher at the lower
+        # keeps every chain descending, so none loops
+        np.minimum.at(low, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
+        while True:
+            up = low[low]
+            if (up == low).all():
+                break
+            low = up
+    return (low.reshape(G, n) == n * np.arange(G)[:, None]).all(axis=1)
 
 
 def _graph_fault(W: np.ndarray, F: np.ndarray, n_positions: int):
@@ -486,27 +498,30 @@ def _group_edges(pts: list, config: GraphConfig):
 
 class GraphStack(NamedTuple):
     """The graphs of groups with one vertex count n: the groups' indices
-    (G,), weights (G, n, n) and features (G, n, 5)."""
+    (G,), weights (G, n, n), features (G, n, 5) and positions (G, n, 2)."""
 
     index: np.ndarray
     weights: np.ndarray
     features: np.ndarray
+    positions: np.ndarray
 
 
 def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None = None):
     """The graphs of groups of footprints, as `build_spatial_graph` makes
     them, in stacks of groups with equal vertex count.
 
-    Returns (stacks, None), or ([], (index, error)) for the first group
-    whose graph cannot be made.  Only the edges are found group by group;
-    the weights, the SpatialGraph checks and the features are done a stack
-    at a time.
+    Returns (stacks, fault).  The edges are found group by group before it
+    returns; fault is (index, error) for the first group whose edges cannot
+    be found, or None.  stacks is an iterator over the groups before that
+    one, which makes each stack's weights, of at most `_STACK_ENTRIES`
+    entries, as it is read.  The graphs are not checked: `_graph_fault`
+    does that, a stack at a time.
     """
     if config is None:
         config = GraphConfig()
     M = _measures([p for group in groups for p in group])
-    features = _features(M)
-    found, faults, start = [], [], 0  # found: (first row in M, edges, weights)
+    features, centroids = _features(M), M[:, :2].copy()
+    found, fault, start = {}, None, 0  # group index: (first row in M, edges, weights)
     for i, group in enumerate(groups):
         n = len(group)
         try:
@@ -514,31 +529,31 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
                 raise ValueError(f"a group needs at least 3 buildings, got {n}")
             edges, w = _group_edges(M[start : start + n, :2].tolist(), config)
         except (GraphError, ValueError) as exc:
-            faults.append((i, exc))
+            fault = i, exc
             break
-        found.append((start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)))
+        found[i] = start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)
         start += n
     del M
 
-    by_size: dict[int, list[int]] = {}
-    for i in range(len(found)):
-        by_size.setdefault(len(groups[i]), []).append(i)
-    stacks = []
-    for n, members in by_size.items():
-        rows = np.array([found[i][0] for i in members])[:, None] + np.arange(n)
-        E = np.concatenate([found[i][1] for i in members])
-        graph = np.repeat(np.arange(len(members)), [len(found[i][1]) for i in members])
-        w = 1.0 if config.weighting == "binary" else np.concatenate([found[i][2] for i in members])
-        W = np.zeros((len(members), n, n))
-        W[graph, E[:, 0], E[:, 1]] = w
-        W[graph, E[:, 1], E[:, 0]] = w
-        stacks.append(GraphStack(np.array(members), W, features[rows]))
-        bad = _graph_fault(W, stacks[-1].features, n)
-        if bad is not None:
-            faults.append((members[bad[0]], bad[1]))
-    if faults:
-        return [], min(faults, key=lambda fault: fault[0])
-    return stacks, None
+    def stacks():
+        by_size: dict[int, list[int]] = {}
+        for i in found:
+            by_size.setdefault(len(groups[i]), []).append(i)
+        for n, same in by_size.items():
+            step = max(1, _STACK_ENTRIES // (n * n))
+            for s in range(0, len(same), step):
+                members = same[s : s + step]
+                starts, edges, weights = zip(*[found.pop(i) for i in members])
+                rows = np.array(starts)[:, None] + np.arange(n)
+                E = np.concatenate(edges)
+                graph = np.repeat(np.arange(len(members)), [len(e) for e in edges])
+                w = 1.0 if config.weighting == "binary" else np.concatenate(weights)
+                W = np.zeros((len(members), n, n))
+                W[graph, E[:, 0], E[:, 1]] = w
+                W[graph, E[:, 1], E[:, 0]] = w
+                yield GraphStack(np.array(members), W, features[rows], centroids[rows])
+
+    return stacks(), fault
 
 
 def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:
@@ -549,13 +564,12 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
     graph ordered along the principal axis.  Features are the raw per-building
     shape indices; standardization is a training-pipeline concern.
     """
-    polys = list(group)
-    stacks, fault = graph_stacks([polys], config)
+    stacks, fault = graph_stacks([list(group)], config)
     if fault is not None:
         raise fault[1]
-    (stack,) = stacks
-    positions = [polygon_centroid(p) for p in polys]
-    return SpatialGraph(weights=stack.weights[0], features=stack.features[0], positions=positions)
+    ((_, W, F, xy),) = stacks
+    positions = [Point2(x, y) for x, y in xy[0].tolist()]
+    return SpatialGraph(weights=W[0], features=F[0], positions=positions)
 
 
 # ---------------------------------------------------------------------------

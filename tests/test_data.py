@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_pattern import data
+from spectral_pattern import data, graph
 from spectral_pattern.data import (
     LABELS,
     BuildingGroup,
@@ -845,6 +845,25 @@ class TestGraphBuilder:
                 for sample, (L, X) in zip(splits[name], want):
                     assert_same_arrays(sample.laplacian, L)
                     assert_same_arrays(sample.features, X)
+
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_stacks_cut_at_the_entry_cap_change_nothing(self, monkeypatch, cap):
+        # a cap of 1 puts each group in a stack of its own; 300 holds three
+        # groups of 10, two of 11 or 12, one of 13 to 17
+        ds = generate_synthetic_dataset(40, (3, 17), seed=43)
+        twin = list(ds.groups[25].buildings)
+        twin[3] = twin[1]
+        groups = list(ds.groups[:30]) + [BuildingGroup("twin", tuple(twin))] + list(ds.groups[30:])
+        std = Standardizer(mean=np.zeros(5), std=np.ones(5))
+        monkeypatch.setattr(graph, "_STACK_ENTRIES", cap)
+        for config in (GraphConfig(), GraphConfig("mst", "gaussian", "comb")):
+            got = prepare_inference_samples(ds.groups, std, config)
+            want = reference_samples(ds.groups, std, config, list(range(5)))
+            for sample, (L, X) in zip(got, want):
+                assert_same_arrays(sample.laplacian, L)
+                assert_same_arrays(sample.features, X)
+            with pytest.raises(CoincidentCentroids, match="group 'twin': points 1 and 3 coincide"):
+                prepare_inference_samples(groups, std, config)
 
     def test_coincident_centroids_name_the_first_group_in_order(self):
         # the later twin group has fewer buildings, so its stack comes first

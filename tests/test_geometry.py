@@ -523,7 +523,8 @@ def reference_measures(ring):
         cy += (ay + by) * w
         perim += math.hypot(bx - ax, by - ay)
     area = area2 / 2.0
-    centroid = (cx / (3.0 * area2), cy / (3.0 * area2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero area gives inf or nan
+        centroid = (float(np.float64(cx) / (3.0 * area2)), float(np.float64(cy) / (3.0 * area2)))
     if len(reference_hull(xy)) < 3:
         return area, centroid, None, None
     _, angle, length, width, rx, ry = reference_min_rect(xy)

@@ -295,14 +295,23 @@ class TestDelaunay:
 
     def test_incircle_calls_per_point(self, monkeypatch, wide_corpus):
         # the scan makes about 80 in-circle tests per inserted point on this
-        # corpus; the walk tests only the cavity and its rim
-        calls = 0
+        # corpus; the walk tests only the cavity and its rim.  The flood
+        # decides most tests with its own float filter; an infinite in-circle
+        # bound sends every one of them through the counted `_incircle`,
+        # which then decides it with the true bound.
+        calls, true_bound = 0, {}
+        predicate_bounds = graph._predicate_bounds
 
-        def counted(*args):
+        def unbounded(pts):
+            orient_bound, true_bound["incircle"] = predicate_bounds(pts)
+            return orient_bound, math.inf
+
+        def counted(a, b, c, p, bound):
             nonlocal calls
             calls += 1
-            return _incircle(*args)
+            return _incircle(a, b, c, p, true_bound["incircle"])
 
+        monkeypatch.setattr(graph, "_predicate_bounds", unbounded)
         monkeypatch.setattr(graph, "_incircle", counted)
         for pts in wide_corpus:
             delaunay_triangles(pts)
@@ -468,6 +477,12 @@ class TestBuildSpatialGraph:
         assert all(w == 1.0 for _, _, w in edges)
         assert g.features.shape == (4, 5)
 
+    def test_positions_are_the_centroids(self):
+        polys = squares_at(self.CORNERS)
+        g = build_spatial_graph(polys)
+        assert g.positions == tuple(polygon_centroid(p) for p in polys)
+        assert all(type(p) is Point2 for p in g.positions)
+
     def test_mst_binary(self):
         cfg = GraphConfig(structure="mst")
         g = build_spatial_graph(squares_at(self.CORNERS), cfg)
@@ -561,6 +576,29 @@ class TestSpatialGraphInvariants:
         W = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             SpatialGraph(W, self.feat(2), self.pos(2))
+
+    def test_connectivity_matches_a_search_per_graph(self, rng):
+        # paths in random vertex order need the most merging rounds; the
+        # cut ones lose up to three of their edges
+        for n in (1, 2, 5, 17, 64):
+            W = np.zeros((12, n, n))
+            for k in range(12):
+                order = rng.permutation(n)
+                pieces = min(n, k % 4) if k % 3 else 0
+                cuts = set(rng.choice(n, size=pieces, replace=False).tolist())
+                for a, b in zip(order[:-1], order[1:]):
+                    if a not in cuts:
+                        W[k, a, b] = W[k, b, a] = 1.0
+            want = []
+            for A in W != 0:
+                seen, todo = {0}, [0]
+                while todo:
+                    for j in np.flatnonzero(A[todo.pop()]).tolist():
+                        if j not in seen:
+                            seen.add(j)
+                            todo.append(j)
+                want.append(len(seen) == n)
+            assert graph._connected(W).tolist() == want, n
 
 
 P2 = np.array([[0.0, 1.0], [1.0, 0.0]])
