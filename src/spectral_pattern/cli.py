@@ -282,7 +282,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    k_values = sorted({int(x) for x in args.k_values.split(",")})
+    try:
+        k_values = sorted({int(x) for x in args.k_values.split(",")})
+    except ValueError:
+        raise ValueError(f"--k-values must be comma-separated integers, got {args.k_values!r}")
     if any(not 1 <= k <= 6 for k in k_values):
         raise ValueError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
     ds, config = _split(load_dataset(args.data), args)

@@ -22,7 +22,7 @@ class SelfIntersectingPolygon(GeometryError):
 # -- graph construction -----------------------------------------------------
 
 class GraphError(SpectralPatternError):
-    pass
+    group = None  # index of the group whose graph failed, when many are built
 
 
 class CollinearInput(GraphError):

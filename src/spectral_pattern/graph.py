@@ -30,6 +30,7 @@ from .geometry import (
     _features,
     _measures,
     _on_segment,
+    polygon_centroid,
 )
 
 STRUCTURES = ("dt", "mst")
@@ -79,9 +80,23 @@ class SpatialGraph:
         object.__setattr__(self, "weights", W)
         object.__setattr__(self, "features", F)
         object.__setattr__(self, "positions", tuple(self.positions))
-        fault = _graph_fault(W[None], F[None], len(self.positions))
-        if fault is not None:
-            raise fault[1]
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise ValueError(f"weights must be square, got {W.shape}")
+        n = W.shape[0]
+        if not (np.isfinite(W) & (W >= 0)).all():
+            raise ValueError("weights must be finite and nonnegative")
+        if np.abs(W - W.T).max(initial=0.0) > 1e-12:
+            raise ValueError("weights must be symmetric within 1e-12")
+        if (np.diagonal(W) != 0.0).any():
+            raise ValueError("weight diagonal must be exactly zero")
+        if F.ndim != 2 or F.shape[0] != n or F.shape[1] < 1:
+            raise ValueError(f"features must be (n, d>=1), got {F.shape}")
+        if not np.isfinite(F).all():
+            raise ValueError("features must be finite")
+        if len(self.positions) != n:
+            raise ValueError("positions length must match vertex count")
+        if not _spans(n, np.argwhere(W).tolist()):
+            raise DisconnectedInput("graph is not connected")
 
     @property
     def n(self) -> int:
@@ -103,72 +118,6 @@ class EigenSystem:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-
-def _connected(W: np.ndarray) -> np.ndarray:
-    """Per graph of the (G, n, n) stack W, whether it is connected.  Each
-    vertex of the stack points at the lowest vertex it is known to reach;
-    every round joins, across each edge whose ends point apart, the higher
-    of the two to the lower, then points every vertex at the end of its
-    chain.  A graph is connected when all its vertices reach its vertex 0."""
-    G, n = W.shape[0], W.shape[-1]
-    if n == 0:
-        return np.zeros(G, dtype=bool)
-    g, i, j = np.nonzero(W)
-    u, v = g * n + i, g * n + j
-    low = np.arange(G * n)
-    while True:
-        lu, lv = low[u], low[v]
-        apart = lu != lv
-        if not apart.any():
-            break
-        # lu and lv point at themselves; pointing the higher at the lower
-        # keeps every chain descending, so none loops
-        np.minimum.at(low, np.maximum(lu, lv)[apart], np.minimum(lu, lv)[apart])
-        while True:
-            up = low[low]
-            if (up == low).all():
-                break
-            low = up
-    return (low.reshape(G, n) == n * np.arange(G)[:, None]).all(axis=1)
-
-
-def _graph_fault(W: np.ndarray, F: np.ndarray, n_positions: int):
-    """(k, error) for the first graph k of a stack, with weights W (G, n, n),
-    features F (G, n, d) and n_positions positions each, that breaks a
-    SpatialGraph invariant, naming the first it breaks; None if none does."""
-    if W.ndim != 3 or W.shape[1] != W.shape[2]:
-        return 0, ValueError(f"weights must be square, got {W.shape[1:]}")
-    G, n = W.shape[:2]
-    features_fit = F.ndim == 3 and F.shape[:2] == (G, n) and F.shape[2] >= 1
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite weights fail first
-        asymmetry = np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    faults = np.select(
-        [
-            ~(np.isfinite(W) & (W >= 0)).all(axis=(1, 2)),
-            asymmetry > 1e-12,
-            (np.diagonal(W, axis1=1, axis2=2) != 0.0).any(axis=1),
-            np.full(G, not features_fit),
-            ~np.isfinite(F).all(axis=(1, 2)) if features_fit else np.zeros(G, dtype=bool),
-            np.full(G, n_positions != n),
-            ~_connected(W),
-        ],
-        [1, 2, 3, 4, 5, 6, 7],
-        0,
-    )
-    bad = np.flatnonzero(faults)
-    if not bad.size:
-        return None
-    k = int(bad[0])
-    return k, [
-        ValueError("weights must be finite and nonnegative"),
-        ValueError("weights must be symmetric within 1e-12"),
-        ValueError("weight diagonal must be exactly zero"),
-        ValueError(f"features must be (n, d>=1), got {F.shape[1:]}"),
-        ValueError("features must be finite"),
-        ValueError("positions length must match vertex count"),
-        DisconnectedInput("graph is not connected"),
-    ][faults[k] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +384,12 @@ class _UnionFind:
         return True
 
 
+def _spans(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges, (i, j) pairs, connect all n vertices; never for n = 0."""
+    uf = _UnionFind(n)
+    return sum(uf.union(i, j) for i, j in edges) == n - 1
+
+
 def minimum_spanning_tree(
     n: int, weighted_edges: Iterable[tuple[int, int, float]]
 ) -> list[tuple[int, int]]:
@@ -475,7 +430,11 @@ def _principal_axis_path(pts: list[tuple[float, float]]) -> list[tuple[int, int]
 
 def _group_edges(pts: list, config: GraphConfig):
     """(edges, weights) of the graph over one group's centroids pts: sorted
-    (i, j) pairs, and their weights in that order, or None for binary ones."""
+    (i, j) pairs, and their weights in that order, or None for binary ones.
+
+    The edges connect the group, and every weight but a gaussian one is
+    positive; gaussian weights that underflow to 0 and so cut the graph
+    raise DisconnectedInput."""
     try:
         edges = delaunay_triangulate(pts)
     except CollinearInput:
@@ -493,67 +452,63 @@ def _group_edges(pts: list, config: GraphConfig):
         return edges, None
     if config.weighting == "invdist":
         return edges, [1.0 / d for d in dist]
-    return edges, [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in dist]
+    w = [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in dist]
+    if 0.0 in w and not _spans(len(pts), [e for e, x in zip(edges, w) if x]):
+        raise DisconnectedInput("graph is not connected")
+    return edges, w
 
 
 class GraphStack(NamedTuple):
     """The graphs of groups with one vertex count n: the groups' indices
-    (G,), weights (G, n, n), features (G, n, 5) and positions (G, n, 2)."""
+    (G,), weights (G, n, n) and features (G, n, 5)."""
 
     index: np.ndarray
     weights: np.ndarray
     features: np.ndarray
-    positions: np.ndarray
 
 
 def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None = None):
     """The graphs of groups of footprints, as `build_spatial_graph` makes
     them, in stacks of groups with equal vertex count.
 
-    Returns (stacks, fault).  The edges are found group by group before it
-    returns; fault is (index, error) for the first group whose edges cannot
-    be found, or None.  stacks is an iterator over the groups before that
-    one, which makes each stack's weights, of at most `_STACK_ENTRIES`
-    entries, as it is read.  The graphs are not checked: `_graph_fault`
-    does that, a stack at a time.
+    A generator: the edges are found group by group before the first stack
+    is made, and the first group in order whose graph cannot be made raises
+    its GraphError, with the group's index as the error's `group`.  Each
+    stack's weights, of at most `_STACK_ENTRIES` entries, are made as it is
+    read.
     """
     if config is None:
         config = GraphConfig()
     M = _measures([p for group in groups for p in group])
-    features, centroids = _features(M), M[:, :2].copy()
-    found, fault, start = {}, None, 0  # group index: (first row in M, edges, weights)
+    features = _features(M)
+    found, start = {}, 0  # group index: (first row in M, edges, weights)
     for i, group in enumerate(groups):
         n = len(group)
         try:
-            if n < 3:
-                raise ValueError(f"a group needs at least 3 buildings, got {n}")
             edges, w = _group_edges(M[start : start + n, :2].tolist(), config)
-        except (GraphError, ValueError) as exc:
-            fault = i, exc
-            break
+        except GraphError as exc:
+            exc.group = i
+            raise
         found[i] = start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)
         start += n
     del M
 
-    def stacks():
-        by_size: dict[int, list[int]] = {}
-        for i in found:
-            by_size.setdefault(len(groups[i]), []).append(i)
-        for n, same in by_size.items():
-            step = max(1, _STACK_ENTRIES // (n * n))
-            for s in range(0, len(same), step):
-                members = same[s : s + step]
-                starts, edges, weights = zip(*[found.pop(i) for i in members])
-                rows = np.array(starts)[:, None] + np.arange(n)
-                E = np.concatenate(edges)
-                graph = np.repeat(np.arange(len(members)), [len(e) for e in edges])
-                w = 1.0 if config.weighting == "binary" else np.concatenate(weights)
-                W = np.zeros((len(members), n, n))
-                W[graph, E[:, 0], E[:, 1]] = w
-                W[graph, E[:, 1], E[:, 0]] = w
-                yield GraphStack(np.array(members), W, features[rows], centroids[rows])
-
-    return stacks(), fault
+    by_size: dict[int, list[int]] = {}
+    for i in found:
+        by_size.setdefault(len(groups[i]), []).append(i)
+    for n, same in by_size.items():
+        step = max(1, _STACK_ENTRIES // (n * n))
+        for s in range(0, len(same), step):
+            members = same[s : s + step]
+            starts, edges, weights = zip(*[found.pop(i) for i in members])
+            rows = np.array(starts)[:, None] + np.arange(n)
+            E = np.concatenate(edges)
+            graph = np.repeat(np.arange(len(members)), [len(e) for e in edges])
+            w = 1.0 if config.weighting == "binary" else np.concatenate(weights)
+            W = np.zeros((len(members), n, n))
+            W[graph, E[:, 0], E[:, 1]] = w
+            W[graph, E[:, 1], E[:, 0]] = w
+            yield GraphStack(np.array(members), W, features[rows])
 
 
 def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:
@@ -564,11 +519,9 @@ def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = N
     graph ordered along the principal axis.  Features are the raw per-building
     shape indices; standardization is a training-pipeline concern.
     """
-    stacks, fault = graph_stacks([list(group)], config)
-    if fault is not None:
-        raise fault[1]
-    ((_, W, F, xy),) = stacks
-    positions = [Point2(x, y) for x, y in xy[0].tolist()]
+    group = list(group)
+    ((_, W, F),) = graph_stacks([group], config)
+    positions = [polygon_centroid(p) for p in group]
     return SpatialGraph(weights=W[0], features=F[0], positions=positions)
 
 

@@ -43,6 +43,16 @@ def rect_ring(cx, cy, length, width, angle_deg):
     return out
 
 
+def triangle_centres(rng, k):
+    """k points drawn at random inside the triangle (0, 0), (100, 0), (0, 100)."""
+    out = []
+    while len(out) < k:
+        x, y = rng.uniform(0.0, 100.0, 2).tolist()
+        if x + y <= 100.0:
+            out.append((x, y))
+    return out
+
+
 def random_connected_graph(rng, n, extra_edge_prob=0.3):
     """Random weighted adjacency matrix, connected by construction.
 

@@ -9,6 +9,8 @@ from spectral_pattern.data import generate_synthetic_dataset, save_dataset
 from spectral_pattern.nn import _checksum, load_checkpoint, save_checkpoint
 from spectral_pattern.geometry import FEATURE_NAMES
 
+from conftest import rect_ring, triangle_centres
+
 
 @pytest.fixture(scope="module")
 def data_path(tmp_path_factory):
@@ -272,6 +274,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "'twin-block'" in err and "coincide" in err
 
+    def test_disconnected_graph_names_the_group_and_is_3(self, data_path, tmp_path, capsys):
+        # gaussian weights to the square 1e5 m away underflow to 0 and cut
+        # it off from the 127 squares inside a 100 m triangle
+        ckpt = tmp_path / "mst-gaussian.json"
+        assert run("train", "--data", data_path, "--checkpoint", ckpt, "--structure", "mst",
+                   "--weighting", "gaussian", "--seed", "3", *FAST) == 0
+        centres = triangle_centres(np.random.default_rng(0), 127) + [(1e5, 0.0)]
+        group = {"id": "far-block",
+                 "buildings": [{"ring": rect_ring(x, y, 1.0, 1.0, 0.0)} for x, y in centres]}
+        path = tmp_path / "far.ndjson"
+        path.write_text(json.dumps(group) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--data", path) == 3
+        assert "data error: group 'far-block': graph is not connected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["predict", "train"])
     def test_overflowing_centroid_names_the_group_and_is_3(
         self, data_path, artifacts, tmp_path, capsys, command
@@ -445,6 +462,10 @@ class TestReports:
     def test_sweep_k_range_checked(self, data_path, capsys):
         assert run("sweep-k", "--data", data_path, "--k-values", "0,3", *FAST) == 2
         assert "[1, 6]" in capsys.readouterr().err
+        for k_values in ("", "1,,2", "a"):
+            assert run("sweep-k", "--data", data_path, "--k-values", k_values, *FAST) == 2
+            err = capsys.readouterr().err
+            assert "--k-values must be comma-separated integers" in err, k_values
 
     def test_sweep_k_reproducible(self, data_path, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -24,8 +24,10 @@ from spectral_pattern.data import (
 from spectral_pattern.errors import (
     CoincidentCentroids,
     CollinearInput,
+    DataError,
     DuplicatePoints,
     EmptySplit,
+    GraphError,
     InfeasiblePacking,
     InsufficientSamples,
     InvalidPolygon,
@@ -52,7 +54,7 @@ from spectral_pattern.graph import (
     minimum_spanning_tree,
 )
 
-from conftest import rect_ring
+from conftest import rect_ring, triangle_centres
 
 
 def tiny_buildings(offset=0.0):
@@ -750,14 +752,16 @@ def reference_laplacian(W, kind, scaled):
 
 
 def reference_samples(groups, standardizer, config, cols):
-    """[(Laplacian, standardized features)] of each group, or the error of
-    the first group in order whose graph cannot be made."""
+    """[(Laplacian, standardized features)] of each group, or the error,
+    naming the group, of the first group in order whose graph cannot be made."""
     out = []
     for group in groups:
         try:
             F, W = reference_graph(group.buildings, config)
         except DuplicatePoints as exc:
             raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
+        except GraphError as exc:
+            raise DataError(f"group {group.group_id!r}: {exc}") from exc
         out.append((reference_laplacian(W, config.laplacian, config.scaled),
                     standardizer.transform(F[:, cols])))
     return out
@@ -880,3 +884,28 @@ class TestGraphBuilder:
             prepare_inference_samples(groups, std)
         with pytest.raises(CoincidentCentroids, match="group 'second'"):
             prepare_inference_samples([groups[0], groups[3], groups[1]], std)
+        # gaussian weights to the square 1e5 m away underflow and cut "far"
+        # off; it comes before "second" but its stack of 128 comes after
+        rng = np.random.default_rng(0)
+        centres = triangle_centres(rng, 127) + [(1e5, 0.0)]
+        far = BuildingGroup("far", tuple(polygons([rect_ring(x, y, 1.0, 1.0, 0.0) for x, y in centres])))
+        config = GraphConfig("mst", "gaussian", "comb")
+        with pytest.raises(DataError, match="^group 'far': graph is not connected$") as err:
+            prepare_inference_samples([group("ok4", 4, False), far, groups[3]], std, config)
+        assert err.type is DataError
+
+    def test_weights_that_underflow_but_leave_the_graph_connected_are_kept(self):
+        # 120 squares inside a 100 m triangle and two far off: two DT edges
+        # get gaussian weight exactly 0, yet every building is still reached
+        rng = np.random.default_rng(0)
+        centres = triangle_centres(rng, 120) + [(1e5, 50.0), (5e4, 2050.0)]
+        group = BuildingGroup("far", tuple(polygons([rect_ring(x, y, 1.0, 1.0, 0.0) for x, y in centres])))
+        std = Standardizer(mean=np.zeros(5), std=np.ones(5))
+        for kind in LAPLACIAN_KINDS:
+            config = GraphConfig("dt", "gaussian", kind)
+            _, w = graph._group_edges([polygon_centroid(p) for p in group.buildings], config)
+            assert w.count(0.0) == 2
+            (sample,) = prepare_inference_samples([group], std, config)
+            ((L, X),) = reference_samples([group], std, config, list(range(5)))
+            assert_same_arrays(sample.laplacian, L)
+            assert_same_arrays(sample.features, X)

@@ -538,23 +538,42 @@ class TestSpatialGraphInvariants:
     def feat(self, n):
         return np.ones((n, 2))
 
-    def test_stack_names_its_first_bad_graph(self, rng):
-        W = np.stack([random_connected_graph(rng, 4) for _ in range(4)])
-        F = np.ones((4, 4, 2))
-        assert graph._graph_fault(W, F, 4) is None
-        W[3, 0, 1] = 0.5  # asymmetric
-        W[1, 0, :] = W[1, :, 0] = 0.0  # vertex 0 cut off
-        k, err = graph._graph_fault(W, F, 4)
-        assert k == 1 and isinstance(err, DisconnectedInput)
-        F[1, 2, 0] = np.inf  # graph 1 now fails its features check first
-        k, err = graph._graph_fault(W, F, 4)
-        assert k == 1 and str(err) == "features must be finite"
-        k, err = graph._graph_fault(W[2:], F[2:], 4)
-        assert k == 1 and str(err) == "weights must be symmetric within 1e-12"
-        assert str(graph._graph_fault(W, F, 3)[1]) == "positions length must match vertex count"
-
     def pos(self, n):
         return tuple(Point2(i, 0) for i in range(n))
+
+    def test_names_the_first_invariant_it_breaks(self, rng):
+        # a graph that breaks every invariant names the first; mending each
+        # in turn names the next, in this order
+        good = random_connected_graph(rng, 5)
+        W = good.copy()
+        W[0, :] = W[:, 0] = 0.0  # vertex 0 cut off
+        W[1, 2] = W[2, 1] = -1.0
+        W[3, 4] += 0.5
+        W[4, 4] = 0.1
+        F, pos = np.ones((5, 0)), self.pos(4)
+
+        def fault(W=W):
+            with pytest.raises((ValueError, DisconnectedInput)) as err:
+                SpatialGraph(W, F, pos)
+            return type(err.value), str(err.value)
+
+        assert fault(W[:, :4]) == (ValueError, "weights must be square, got (5, 4)")
+        assert fault() == (ValueError, "weights must be finite and nonnegative")
+        W[1, 2] = W[2, 1] = 1.0
+        assert fault() == (ValueError, "weights must be symmetric within 1e-12")
+        W[3, 4] = W[4, 3]
+        assert fault() == (ValueError, "weight diagonal must be exactly zero")
+        W[4, 4] = 0.0
+        assert fault() == (ValueError, "features must be (n, d>=1), got (5, 0)")
+        F = np.ones((5, 2))
+        F[2, 0] = np.inf
+        assert fault() == (ValueError, "features must be finite")
+        F[2, 0] = 1.0
+        assert fault() == (ValueError, "positions length must match vertex count")
+        pos = self.pos(5)
+        assert fault() == (DisconnectedInput, "graph is not connected")
+        W[0, :], W[:, 0] = good[0, :], good[:, 0]
+        assert SpatialGraph(W, F, pos).n == 5
 
     def test_rejects_asymmetric(self):
         W = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -578,27 +597,28 @@ class TestSpatialGraphInvariants:
             SpatialGraph(W, self.feat(2), self.pos(2))
 
     def test_connectivity_matches_a_search_per_graph(self, rng):
-        # paths in random vertex order need the most merging rounds; the
-        # cut ones lose up to three of their edges
+        # paths in random vertex order, some cut in up to three places
         for n in (1, 2, 5, 17, 64):
-            W = np.zeros((12, n, n))
             for k in range(12):
+                W = np.zeros((n, n))
                 order = rng.permutation(n)
                 pieces = min(n, k % 4) if k % 3 else 0
                 cuts = set(rng.choice(n, size=pieces, replace=False).tolist())
                 for a, b in zip(order[:-1], order[1:]):
                     if a not in cuts:
-                        W[k, a, b] = W[k, b, a] = 1.0
-            want = []
-            for A in W != 0:
+                        W[a, b] = W[b, a] = 1.0
                 seen, todo = {0}, [0]
                 while todo:
-                    for j in np.flatnonzero(A[todo.pop()]).tolist():
+                    for j in np.flatnonzero(W[todo.pop()]).tolist():
                         if j not in seen:
                             seen.add(j)
                             todo.append(j)
-                want.append(len(seen) == n)
-            assert graph._connected(W).tolist() == want, n
+                try:
+                    SpatialGraph(W, self.feat(n), self.pos(n))
+                    connected = True
+                except DisconnectedInput:
+                    connected = False
+                assert connected == (len(seen) == n), (n, k)
 
 
 P2 = np.array([[0.0, 1.0], [1.0, 0.0]])
