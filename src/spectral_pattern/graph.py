@@ -482,6 +482,7 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
     M = _measures([p for group in groups for p in group])
     features = _features(M)
     found, start = {}, 0  # group index: (first row in M, edges, weights)
+    by_size: dict[int, list[int]] = {}
     for i, group in enumerate(groups):
         n = len(group)
         try:
@@ -490,12 +491,10 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
             exc.group = i
             raise
         found[i] = start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)
+        by_size.setdefault(n, []).append(i)
         start += n
     del M
 
-    by_size: dict[int, list[int]] = {}
-    for i in found:
-        by_size.setdefault(len(groups[i]), []).append(i)
     for n, same in by_size.items():
         step = max(1, _STACK_ENTRIES // (n * n))
         for s in range(0, len(same), step):
