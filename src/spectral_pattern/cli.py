@@ -98,26 +98,36 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
-def _split(dataset, args):
-    """The split and the graph settings the flags ask for."""
-    ds = split_dataset(dataset, _parse_ratios(args.split), args.seed)
+# the checkpoint's "train" block: these flags, under their own names
+_TRAIN_FLAGS = (
+    "k", "layers", "channels", "lr", "epochs", "batch", "dropout", "l2", "optimizer", "seed",
+)
+
+
+def _runs(args, variants):
+    """Trains one model per (name, K, feature mask) variant on the split and
+    graphs the flags ask for; yields (model, history, splits, standardizer,
+    graph config, seconds) per variant, in order.
+
+    Every model and the TrainConfig are made before any graph is built, so a
+    bad flag fails at once.  The graphs are built once, since neither K nor
+    a mask changes them.  A failure is prefixed with its variant's name, if any.
+    """
+    ds = split_dataset(load_dataset(args.data), _parse_ratios(args.split), args.seed)
     config = GraphConfig(
         structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
     )
-    return ds, config
-
-
-def _untrained(args, order: int, feature_mask=None):
-    """(model, TrainConfig) as the flags ask for them.  Commands make these
-    before building any graph, so a bad flag fails at once."""
-    model = build_model(
-        feature_dim=len(_mask_indices(feature_mask)),
-        conv_channels=(args.channels,) * args.layers,
-        order=order,
-        dropout_rate=args.dropout,
-        l2_lambda=args.l2,
-        seed=args.seed,
-    )
+    models = [
+        build_model(
+            feature_dim=len(_mask_indices(mask)),
+            conv_channels=(args.channels,) * args.layers,
+            order=order,
+            dropout_rate=args.dropout,
+            l2_lambda=args.l2,
+            seed=args.seed,
+        )
+        for _, order, mask in variants
+    ]
     train_config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -125,33 +135,31 @@ def _untrained(args, order: int, feature_mask=None):
         seed=args.seed,
         optimizer=args.optimizer,
     )
-    return model, train_config
+    graphs = split_graphs(ds, config)
+    for (name, _, mask), model in zip(variants, models):
+        start = time.perf_counter()
+        try:
+            splits, standardizer = training_samples(ds, graphs, mask)
+            model, history = train(model, splits, train_config)
+        except SpectralPatternError as exc:
+            if name:
+                exc.args = (f"{name}: {exc}",)
+            raise
+        yield model, history, splits, standardizer, config, time.perf_counter() - start
 
 
-def _checkpoint_extra(args, config: GraphConfig, standardizer, feature_mask) -> dict:
-    mask = list(feature_mask) if feature_mask is not None else None
+def _checkpoint_extra(args, config: GraphConfig, standardizer) -> dict:
     return {
         "labels": list(LABELS),
         "feature_names": list(FEATURE_NAMES),
-        "feature_mask": mask,
+        "feature_mask": None,  # training always uses every column; _restore reads it
         "graph": asdict(config),
         "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
         "standardizer": {
             "mean": standardizer.mean.tolist(),
             "std": standardizer.std.tolist(),
         },
-        "train": {
-            "k": args.k,
-            "layers": args.layers,
-            "channels": args.channels,
-            "lr": args.lr,
-            "epochs": args.epochs,
-            "batch": args.batch,
-            "dropout": args.dropout,
-            "l2": args.l2,
-            "optimizer": args.optimizer,
-            "seed": args.seed,
-        },
+        "train": {flag: getattr(args, flag) for flag in _TRAIN_FLAGS},
     }
 
 
@@ -225,17 +233,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds, config = _split(load_dataset(args.data), args)
-    model, train_config = _untrained(args, args.k)
-    splits, standardizer = training_samples(ds, split_graphs(ds, config))
-    model, history = train(model, splits, train_config)
-    val_acc, _ = evaluate(model, splits["val"])
-    save_checkpoint(args.checkpoint, model, _checkpoint_extra(args, config, standardizer, None))
+    [(model, history, _, standardizer, config, _)] = _runs(args, [("", args.k, None)])
+    save_checkpoint(args.checkpoint, model, _checkpoint_extra(args, config, standardizer))
     if args.history:
         _write_history_csv(history, args.history)
     print(
         f"trained {len(history)} epochs (best {history.best_epoch}); "
-        f"val accuracy {val_acc:.4f}; checkpoint {args.checkpoint}"
+        f"val accuracy {history.val_accuracy[history.best_epoch]:.4f}; checkpoint {args.checkpoint}"
     )
     return _EXIT_OK
 
@@ -288,23 +292,12 @@ def cmd_sweep_k(args) -> int:
         raise ValueError(f"--k-values must be comma-separated integers, got {args.k_values!r}")
     if any(not 1 <= k <= 6 for k in k_values):
         raise ValueError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
-    ds, config = _split(load_dataset(args.data), args)
-    untrained = {k: _untrained(args, k) for k in k_values}
-    graphs = split_graphs(ds, config)  # K does not change a graph
     rows = []
-    for k in k_values:
-        start = time.perf_counter()
-        try:
-            model, train_config = untrained[k]
-            splits, _ = training_samples(ds, graphs)
-            model, history = train(model, splits, train_config)
-        except SpectralPatternError as exc:
-            exc.args = (f"k={k}: {exc}",)
-            raise
-        seconds = time.perf_counter() - start
-        val_acc, _ = evaluate(model, splits["val"])
-        rows.append((k, f"{val_acc:.4f}", f"{history.val_loss[history.best_epoch]:.6f}",
-                     history.best_epoch, f"{seconds:.2f}"))
+    runs = _runs(args, [(f"k={k}", k, None) for k in k_values])
+    for k, (_, history, _, _, _, seconds) in zip(k_values, runs):
+        best = history.best_epoch
+        rows.append((k, f"{history.val_accuracy[best]:.4f}", f"{history.val_loss[best]:.6f}",
+                     best, f"{seconds:.2f}"))
     report = ExperimentReport(
         columns=("k", "val_accuracy", "val_loss", "best_epoch", "seconds"), rows=rows
     )
@@ -313,27 +306,18 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_ablate_features(args) -> int:
-    ds, config = _split(load_dataset(args.data), args)
     if args.mode == "only-one":
         masks = [(i,) for i in range(len(FEATURE_NAMES))]
     else:
         masks = [tuple(j for j in range(len(FEATURE_NAMES)) if j != i)
                  for i in range(len(FEATURE_NAMES))]
-    untrained = [_untrained(args, args.k, mask) for mask in masks]
-    graphs = split_graphs(ds, config)  # the mask picks columns after the graphs
     rows = []
-    for name, mask, (model, train_config) in zip(FEATURE_NAMES, masks, untrained):
-        start = time.perf_counter()
-        try:
-            splits, _ = training_samples(ds, graphs, mask)
-            model, _ = train(model, splits, train_config)
-        except SpectralPatternError as exc:
-            exc.args = (f"feature={name}: {exc}",)
-            raise
-        seconds = time.perf_counter() - start
-        val_acc, _ = evaluate(model, splits["val"])
+    variants = [(f"feature={name}", args.k, mask) for name, mask in zip(FEATURE_NAMES, masks)]
+    for name, mask, run in zip(FEATURE_NAMES, masks, _runs(args, variants)):
+        model, history, splits, _, _, seconds = run
         test_acc, _ = evaluate(model, splits["test"])
-        rows.append((name, len(mask), f"{val_acc:.4f}", f"{test_acc:.4f}", f"{seconds:.2f}"))
+        rows.append((name, len(mask), f"{history.val_accuracy[history.best_epoch]:.4f}",
+                     f"{test_acc:.4f}", f"{seconds:.2f}"))
     report = ExperimentReport(
         columns=("feature", "n_columns", "val_accuracy", "test_accuracy", "seconds"), rows=rows
     )

@@ -540,15 +540,6 @@ def _gershgorin(A: np.ndarray) -> np.ndarray:
     return np.max(d + (np.sum(np.abs(A), axis=-1) - np.abs(d)), axis=-1)
 
 
-def lambda_upper_bound(L) -> float:
-    """Gershgorin bound: max over rows of diag + off-diagonal absolute sum.
-
-    Exact arithmetic on matrix entries, so it is invariant under vertex
-    relabeling, unlike an iterative eigenvalue estimate.
-    """
-    return float(_gershgorin(matrix_of(L)))
-
-
 def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
     """Graph Laplacian of a SpatialGraph, a raw weights matrix, or each
     matrix of a (G, n, n) stack of them.

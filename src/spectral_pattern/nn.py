@@ -573,11 +573,10 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
     train_buckets = _buckets(model, train_set)
     val_buckets = _buckets(model, val_set)
     rng = np.random.default_rng(config.seed)
-    params = [p.copy() for p in model.parameters()]
-    state = optimizer_init(params, config)
+    state = optimizer_init(model.parameters(), config)
     history = TrainHistory()
     best_loss = math.inf
-    best_params = [p.copy() for p in params]
+    best_params = [p.copy() for p in model.parameters()]
     stale = 0
 
     for epoch in range(config.epochs):
@@ -598,9 +597,8 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
                         for a, b in zip(acc_grads, g):
                             a += b
                 grads = [g / len(batch) for g in acc_grads]
-                params, state = optimizer_step(state, params, grads, config)
+                params, state = optimizer_step(state, model.parameters(), grads, config)
                 model.set_parameters(params)
-                params = model.parameters()
 
             tr_loss, tr_acc = _split_metrics(model, train_set, train_buckets)
             va_loss, va_acc = _split_metrics(model, val_set, val_buckets)
@@ -615,7 +613,7 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
 
         if va_loss < best_loss:
             best_loss = va_loss
-            best_params = [p.copy() for p in params]
+            best_params = [p.copy() for p in model.parameters()]
             history.best_epoch = epoch
             stale = 0
         else:

@@ -6,6 +6,7 @@ import pytest
 from spectral_pattern import cli
 from spectral_pattern.cli import ExperimentReport, main
 from spectral_pattern.data import generate_synthetic_dataset, save_dataset
+from spectral_pattern.errors import DivergedLoss
 from spectral_pattern.nn import _checksum, load_checkpoint, save_checkpoint
 from spectral_pattern.geometry import FEATURE_NAMES
 
@@ -86,6 +87,14 @@ class TestTrainEvalPredict:
         assert extra["labels"] == ["regular", "irregular"]
         assert extra["split"] == {"ratios": [0.6, 0.2, 0.2], "seed": 3}
         assert len(extra["standardizer"]["mean"]) == 5
+        assert extra["feature_mask"] is None
+        assert extra["graph"] == {
+            "structure": "dt", "weighting": "binary", "laplacian": "sym", "scaled": True,
+        }
+        assert extra["train"] == {
+            "k": 3, "layers": 2, "channels": 6, "lr": 1e-3, "epochs": 8, "batch": 4,
+            "dropout": 0.5, "l2": 5e-4, "optimizer": "adam", "seed": 3,
+        }
         lines = artifacts["hist"].read_text().splitlines()
         assert lines[0] == "epoch,train_loss,train_accuracy,val_loss,val_accuracy"
         assert len(lines) >= 2
@@ -96,6 +105,13 @@ class TestTrainEvalPredict:
         capsys.readouterr()
         assert rc == 0
         assert again.read_bytes() == artifacts["ckpt"].read_bytes()
+
+    def test_train_reports_what_eval_finds_on_val(self, data_path, tmp_path, capsys):
+        ckpt = tmp_path / "m.json"
+        assert run("train", "--data", data_path, "--checkpoint", ckpt, "--seed", "5", *FAST) == 0
+        trained = capsys.readouterr().out.split("val accuracy ")[1].split(";")[0]
+        assert run("eval", "--checkpoint", ckpt, "--data", data_path, "--split", "val") == 0
+        assert capsys.readouterr().out.startswith(f"val accuracy: {trained} (")
 
     def test_eval_prints_accuracy_and_confusion(self, data_path, artifacts, capsys):
         assert run("eval", "--checkpoint", artifacts["ckpt"], "--data", data_path) == 0
@@ -376,6 +392,32 @@ class TestExitCodes:
                  "--batch", "4", "--channels", "6", "--layers", "2")
         assert rc == 4
         assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, failing_call, prefix",
+        [(("train", "--checkpoint"), (), 1, ""),
+         (("sweep-k", "--out"), ("--k-values", "1,3"), 2, "k=3: "),
+         (("ablate-features", "--out"), (), 2, "feature=main_direction: ")],
+        ids=["train", "sweep-k", "ablate-features"],
+    )
+    def test_a_failing_model_is_named(
+        self, data_path, tmp_path, capsys, monkeypatch, command, extra, failing_call, prefix
+    ):
+        calls = []
+
+        def train(model, splits, config):
+            calls.append(model)
+            if len(calls) == failing_call:
+                raise DivergedLoss("non-finite loss at epoch 1")
+            return real_train(model, splits, config)
+
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", train)
+        rc = run(command[0], "--data", data_path, command[1], tmp_path / "out", *extra, *FAST)
+        assert rc == 4
+        assert capsys.readouterr().err == f"numeric error: {prefix}non-finite loss at epoch 1\n"
+        assert len(calls) == failing_call
+        assert not (tmp_path / "out").exists()
 
     def test_bad_split_string_is_2(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",

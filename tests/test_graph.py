@@ -39,7 +39,6 @@ from spectral_pattern.graph import (
     delaunay_triangles,
     delaunay_triangulate,
     eigendecompose,
-    lambda_upper_bound,
     laplacian,
     minimum_spanning_tree,
 )
@@ -763,13 +762,4 @@ class TestEigendecompose:
         es = eigendecompose(laplacian(P2, kind="comb", scaled=False))
         assert es.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
-
-class TestLambdaUpperBound:
-    def test_upper_bound_dominates(self, rng):
-        for kind in ("comb", "sym"):
-            W = random_connected_graph(rng, 14)
-            L = laplacian(W, kind=kind, scaled=False)
-            bound = lambda_upper_bound(L)
-            true = eigendecompose(L).eigenvalues[-1]
-            assert bound >= true - 1e-12
 

@@ -493,10 +493,12 @@ class TestTrain:
         model = build_model(2, (3,), order=2, dropout_rate=0.4, seed=2)
         m, hist = train(model, splits, TrainConfig(epochs=12, seed=0, batch_size=4))
         assert hist.best_epoch >= 0
-        _, acc_at_best = None, None
         # fresh buckets here, the ones train built once there: equal bit for bit
-        loss, _ = _split_metrics(m, splits["val"], _buckets(m, splits["val"]))
+        loss, acc = _split_metrics(m, splits["val"], _buckets(m, splits["val"]))
         assert loss == hist.val_loss[hist.best_epoch]
+        assert acc == hist.val_accuracy[hist.best_epoch]
+        # so the recorded accuracy is what evaluate reports for the model
+        assert evaluate(m, splits["val"])[0] == hist.val_accuracy[hist.best_epoch]
 
     def test_diverged_loss_raises(self):
         rng = np.random.default_rng(400)

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import spectral_pattern
-from spectral_pattern import data, nn
+from spectral_pattern import cli, data, nn
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -87,3 +87,26 @@ def test_settings_a_caller_can_pass_are_pinned():
         "n_groups", "size_range", "seed",
     ]
     assert not hasattr(data, "GeneratorProfile")
+
+
+def test_command_options_are_pinned():
+    # a new flag, or one coming back, has to change this test too
+    train_flags = [
+        "--seed", "--split", "--k", "--layers", "--channels", "--structure", "--weighting",
+        "--laplacian", "--lr", "--epochs", "--batch", "--dropout", "--l2", "--optimizer",
+    ]
+    expected = {
+        "generate": ["--out", "--groups", "--size-min", "--size-max", "--seed"],
+        "train": ["--data", "--checkpoint", "--history", *train_flags],
+        "eval": ["--checkpoint", "--data", "--split"],
+        "predict": ["--checkpoint", "--data", "--out"],
+        "sweep-k": ["--data", "--out", "--k-values", *train_flags],
+        "ablate-features": ["--data", "--out", "--mode", *train_flags],
+    }
+    help_action, commands = cli.build_parser()._actions  # no top-level option but --help
+    assert help_action.option_strings == ["-h", "--help"]
+    options = {
+        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert options == expected
