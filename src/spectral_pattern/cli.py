@@ -39,6 +39,7 @@ from .geometry import FEATURE_NAMES
 from .graph import GraphConfig
 from .nn import (
     TrainConfig,
+    _inference_probs,
     build_model,
     evaluate,
     load_checkpoint,
@@ -152,7 +153,7 @@ def _checkpoint_extra(args, config: GraphConfig, standardizer) -> dict:
     return {
         "labels": list(LABELS),
         "feature_names": list(FEATURE_NAMES),
-        "feature_mask": None,  # training always uses every column; _restore reads it
+        "feature_mask": None,  # inference takes every column; kept for readers of the format
         "graph": asdict(config),
         "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
         "standardizer": {
@@ -183,8 +184,6 @@ def _restore(checkpoint_path):
             std=np.array(stats["std"], dtype=float),
         )
         config = GraphConfig(**extra["graph"])
-        mask = extra["feature_mask"]
-        n_columns = len(_mask_indices(mask))
         labels = extra.get("labels", list(LABELS))
         if not (
             isinstance(labels, list)
@@ -195,12 +194,12 @@ def _restore(checkpoint_path):
             raise ValueError(
                 f"labels must be {model.n_classes} distinct non-empty strings, got {labels!r}"
             )
-    if not (std.mean.shape[0] == n_columns == model.feature_dim):
+    if not (std.mean.shape[0] == len(FEATURE_NAMES) == model.feature_dim):
         raise CheckpointError(
-            f"checkpoint standardizer has {std.mean.shape[0]} features and its mask "
-            f"selects {n_columns}, but the model expects {model.feature_dim}"
+            f"checkpoint standardizer has {std.mean.shape[0]} features and the model expects "
+            f"{model.feature_dim}, but inference gives every group's {len(FEATURE_NAMES)}"
         )
-    return model, extra, std, config, mask, labels
+    return model, extra, std, config, labels
 
 
 def _write_history_csv(history, path) -> None:
@@ -245,13 +244,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, extra, std, config, mask, labels = _restore(args.checkpoint)
+    model, extra, std, config, labels = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
     with _checkpoint_settings():
         ds = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
     groups = ds.split_groups(args.split)
-    samples = prepare_inference_samples(groups, std, config, mask)
+    samples = prepare_inference_samples(groups, std, config)
     accuracy, confusion = evaluate(model, samples)
     print(f"{args.split} accuracy: {accuracy:.4f} ({len(samples)} groups)")
     print("confusion (rows = true, cols = predicted):")
@@ -263,12 +262,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, _, std, config, mask, labels = _restore(args.checkpoint)
+    model, _, std, config, labels = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
-    samples = prepare_inference_samples(dataset.groups, std, config, mask)
+    samples = prepare_inference_samples(dataset.groups, std, config)
     lines = []
-    for sample in samples:
-        probs = model.forward(sample.laplacian, sample.features)
+    for sample, probs in zip(samples, _inference_probs(model, samples)):
         obj = {
             "id": sample.sample_id,
             "probabilities": {lab: float(p) for lab, p in zip(labels, probs)},

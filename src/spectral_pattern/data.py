@@ -567,9 +567,8 @@ def prepare_inference_samples(
     groups: Sequence[BuildingGroup],
     standardizer: Standardizer,
     graph_config: GraphConfig | None = None,
-    feature_mask=None,
 ) -> list[GraphSample]:
-    """Same transform as training time, for unlabeled or held-out groups."""
+    """Same transform as training time, on every feature column, for
+    unlabeled or held-out groups."""
     config = graph_config if graph_config is not None else GraphConfig()
-    cols = list(_mask_indices(feature_mask))
-    return _samples(groups, _graphs(groups, config), cols, standardizer)
+    return _samples(groups, _graphs(groups, config), list(_mask_indices(None)), standardizer)

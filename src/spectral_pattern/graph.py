@@ -458,6 +458,19 @@ def _group_edges(pts: list, config: GraphConfig):
     return edges, w
 
 
+def _size_stacks(sizes: Sequence[int]):
+    """Positions of the items of each size n >= 1, in order of first appearance,
+    cut into stacks of at most `_STACK_ENTRIES` entries of n x n matrices (an
+    item larger than that is a stack of its own): graph_stacks' rule and nn's."""
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(i)
+    for n, same in by_size.items():
+        step = max(1, _STACK_ENTRIES // (n * n))
+        for s in range(0, len(same), step):
+            yield same[s : s + step]
+
+
 class GraphStack(NamedTuple):
     """The graphs of groups with one vertex count n: the groups' indices
     (G,), weights (G, n, n) and features (G, n, 5)."""
@@ -482,7 +495,6 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
     M = _measures([p for group in groups for p in group])
     features = _features(M)
     found, start = {}, 0  # group index: (first row in M, edges, weights)
-    by_size: dict[int, list[int]] = {}
     for i, group in enumerate(groups):
         n = len(group)
         try:
@@ -491,23 +503,20 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
             exc.group = i
             raise
         found[i] = start, np.array(edges, dtype=np.intp), None if w is None else np.array(w)
-        by_size.setdefault(n, []).append(i)
         start += n
     del M
 
-    for n, same in by_size.items():
-        step = max(1, _STACK_ENTRIES // (n * n))
-        for s in range(0, len(same), step):
-            members = same[s : s + step]
-            starts, edges, weights = zip(*[found.pop(i) for i in members])
-            rows = np.array(starts)[:, None] + np.arange(n)
-            E = np.concatenate(edges)
-            graph = np.repeat(np.arange(len(members)), [len(e) for e in edges])
-            w = 1.0 if config.weighting == "binary" else np.concatenate(weights)
-            W = np.zeros((len(members), n, n))
-            W[graph, E[:, 0], E[:, 1]] = w
-            W[graph, E[:, 1], E[:, 0]] = w
-            yield GraphStack(np.array(members), W, features[rows])
+    for members in _size_stacks([len(group) for group in groups]):
+        n = len(groups[members[0]])
+        starts, edges, weights = zip(*[found.pop(i) for i in members])
+        rows = np.array(starts)[:, None] + np.arange(n)
+        E = np.concatenate(edges)
+        graph = np.repeat(np.arange(len(members)), [len(e) for e in edges])
+        w = 1.0 if config.weighting == "binary" else np.concatenate(weights)
+        W = np.zeros((len(members), n, n))
+        W[graph, E[:, 0], E[:, 1]] = w
+        W[graph, E[:, 1], E[:, 0]] = w
+        yield GraphStack(np.array(members), W, features[rows])
 
 
 def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     StateError,
 )
-from .graph import GraphConfig, SpatialGraph, laplacian, matrix_of
+from .graph import GraphConfig, SpatialGraph, _size_stacks, laplacian, matrix_of
 
 OPTIMIZERS = ("adam", "sgd")
 # fixed optimizer and early-stopping settings
@@ -39,9 +39,6 @@ _ADAM_EPS = 1e-8
 _SGD_MOMENTUM = 0.9
 _EARLY_STOP_PATIENCE = 20  # epochs without a better validation loss
 _PROB_FLOOR = 1e-12
-# samples per padded inference batch: larger buckets pad more and cost
-# memory, smaller ones make more small products
-_BUCKET = 16
 CHECKPOINT_VERSION = 1
 
 
@@ -171,11 +168,15 @@ class GcnnModel:
         return total + float(np.sum(self.dense.weights**2))
 
     def forward(self, L, X, training=False, rng=None, retain=False) -> np.ndarray:
-        """Class probabilities for one graph, the unpadded case of `_probs`;
-        optionally retains its tape for backward."""
+        """Class probabilities of one graph, L (n, n) and X (n, c), or
+        (B, n_classes) of a stack of graphs of one size, L (B, n, n) and
+        X (B, n, c); each row equals its graph's own bit for bit.  One
+        graph's tape can be retained for backward."""
         Lv = matrix_of(L)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         _check_graph(self, Lv, X)
+        if retain and X.ndim > 2:
+            raise ValueError("retain needs one graph: backward takes one graph's tape")
         if not (training and self.dropout_rate > 0.0):
             rng = None
         elif rng is None:
@@ -183,7 +184,7 @@ class GcnnModel:
 
         tape = [] if retain else None
         P = _power_stack(Lv, X, self.conv_layers[0].order)
-        probs = _probs(self, Lv, P, 1.0, X.shape[0], rng, tape)
+        probs = _probs(self, Lv, P, rng, tape)
         if retain:
             self._retained = (Lv, X, tape)
         return probs
@@ -236,40 +237,44 @@ def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.nda
     return Y if activation == "relu" else tape[0][1]
 
 
-def _check_graph(model: GcnnModel, L, X, sample_id=None) -> None:
-    """Raises DimensionMismatch unless X is (n, feature_dim) and L is (n, n)
-    with n >= 1; the message names the sample when there is an id."""
-    n = X.shape[0]
-    if n == 0:
+def _check_graph(model: GcnnModel, L, X, sample_id=None, stack_ok=True) -> None:
+    """Raises DimensionMismatch unless X is (n, feature_dim), or a stack
+    (B, n, feature_dim) when `stack_ok`, and L is (n, n) or (B, n, n) to
+    match, with n >= 1; the message names the sample when there is an id."""
+    if X.ndim != 2 and not (stack_ok and X.ndim == 3):
+        problem = f"features {X.shape} have {X.ndim} axes"
+    elif X.shape[-2] == 0:
         problem = "the graph has no vertices"
-    elif X.shape[1:] != (model.feature_dim,):
+    elif X.shape[-1] != model.feature_dim:
         problem = f"features {X.shape} do not have the model's {model.feature_dim} channels"
-    elif L.shape != (n, n):
-        problem = f"Laplacian {L.shape} does not match {n} vertices"
+    elif L.shape != X.shape[:-1] + (X.shape[-2],):
+        problem = f"Laplacian {L.shape} does not match features {X.shape}"
     else:
         return
     raise DimensionMismatch(problem if sample_id is None else f"sample {sample_id!r}: {problem}")
 
 
-def _probs(model: GcnnModel, L, P, real, counts, rng=None, tape=None) -> np.ndarray:
-    """Class probabilities of one graph, or of a padded bucket when the
-    arguments carry a leading batch axis.
+def _probs(model: GcnnModel, L, P, rng=None, tape=None) -> np.ndarray:
+    """Class probabilities of one graph, or of each graph of an equal-size
+    stack when the arguments carry a leading batch axis.
 
-    `P` is the first layer's `_power_stack`; `real` is 1 on real vertices
-    and 0 on padding, and `counts` the real vertices per graph.  Dropout
-    is on when `rng` is given.  When `tape` is a list, it receives each
-    conv layer's pair from `_conv_stack`, then (last activation, dropout
-    mask or None, dense input, probabilities).
+    `P` is the first layer's `_power_stack`.  Dropout is on when `rng` is
+    given.  When `tape` is a list, it receives each conv layer's pair from
+    `_conv_stack`, then (last activation, dropout mask or None, dense input,
+    probabilities).
     """
-    H = _conv_stack(model.conv_layers, L, P, tape) * real  # padded rows become zero
-    pooled = np.add.reduce(H, axis=-2) / counts  # what H.mean computes unpadded
+    H = _conv_stack(model.conv_layers, L, P, tape)
+    pooled = np.add.reduce(H, axis=-2) / H.shape[-2]
     mask = None
     dropped = pooled
     if rng is not None:
         keep = rng.random(pooled.shape) >= model.dropout_rate
         mask = keep.astype(float) / (1.0 - model.dropout_rate)
         dropped = pooled * mask
-    probs = _softmax(dropped @ model.dense.weights + model.dense.bias)
+    # each graph's vector as a (1, c) row: a (B, c) block would run a matrix
+    # product, which rounds unlike one graph's vector-matrix product
+    logits = (dropped[..., None, :] @ model.dense.weights)[..., 0, :]
+    probs = _softmax(logits + model.dense.bias)
     if tape is not None:
         tape.append((H, mask, dropped, probs))
     return probs
@@ -484,54 +489,23 @@ def build_model(
     return GcnnModel(layers, dense, dropout_rate=dropout_rate, l2_lambda=l2_lambda)
 
 
-@dataclass(frozen=True, eq=False)
-class _Bucket:
-    """Up to _BUCKET samples of one split, zero-padded to the largest graph
-    among them: all the metrics pass needs that the parameters do not touch."""
-
-    rows: np.ndarray  # positions of the samples in their split
-    L: np.ndarray  # (B, n_max, n_max) Laplacians
-    stack: np.ndarray  # (B, n_max, K*c_in) first-layer power stacks
-    real: np.ndarray  # (B, n_max, 1): 1 on a real vertex, 0 on padding
-    counts: np.ndarray  # (B, 1) real vertices per graph
-
-
-def _buckets(model: GcnnModel, samples: Sequence[GraphSample]) -> list[_Bucket]:
-    """Sorts samples by vertex count and pads them in buckets of _BUCKET.
-
-    Padded rows and columns of L are zero, so padded vertices never reach
-    real ones; only pooling has to leave them out.
-    """
+def _stacks(model: GcnnModel, samples: Sequence[GraphSample]):
+    """Yields (rows, L, X) for the samples in stacks of equal vertex count,
+    cut by `_size_stacks`: their positions, Laplacians (B, n, n) and features
+    (B, n, c).  Every sample is checked, under its id, before the first."""
     for s in samples:
-        _check_graph(model, s.laplacian, s.features, s.sample_id)
-    sizes = [s.features.shape[0] for s in samples]
-    order = np.argsort(sizes, kind="stable")
-    K = model.conv_layers[0].order
-    buckets = []
-    for start in range(0, len(order), _BUCKET):
-        rows = order[start : start + _BUCKET]
-        n_max = sizes[rows[-1]]
-        L = np.zeros((len(rows), n_max, n_max))
-        X = np.zeros((len(rows), n_max, model.feature_dim))
-        real = np.zeros((len(rows), n_max, 1))
-        for b, i in enumerate(rows):
-            n = sizes[i]
-            L[b, :n, :n] = samples[i].laplacian
-            X[b, :n] = samples[i].features
-            real[b, :n] = 1.0
-        buckets.append(_Bucket(rows, L, _power_stack(L, X, K), real, real.sum(axis=1)))
-    return buckets
+        _check_graph(model, s.laplacian, s.features, s.sample_id, stack_ok=False)
+    for rows in _size_stacks([s.features.shape[0] for s in samples]):
+        L = np.stack([samples[i].laplacian for i in rows])
+        yield rows, L, np.stack([samples[i].features for i in rows])
 
 
-def _inference_probs(model: GcnnModel, buckets: Sequence[_Bucket]) -> np.ndarray:
-    """(N, n_classes) probabilities with dropout off, rows in sample order.
-
-    Runs the parameter-dependent layers over buckets from `_buckets` for
-    this model's architecture.  Nothing is retained.
-    """
-    probs = np.empty((sum(len(b.rows) for b in buckets), model.n_classes))
-    for b in buckets:
-        probs[b.rows] = _probs(model, b.L, b.stack, b.real, b.counts)
+def _inference_probs(model: GcnnModel, samples: Sequence[GraphSample]) -> np.ndarray:
+    """(N, n_classes) probabilities with dropout off, rows in sample order:
+    `forward` on each of the samples' `_stacks`."""
+    probs = np.empty((len(samples), model.n_classes))
+    for rows, L, X in _stacks(model, samples):
+        probs[rows] = model.forward(L, X)
     return probs
 
 
@@ -544,11 +518,20 @@ def _labels(samples: Sequence[GraphSample], n_classes: int) -> np.ndarray:
     return labels
 
 
-def _split_metrics(model: GcnnModel, samples, buckets) -> tuple[float, float]:
+def _first_layer_stacks(model: GcnnModel, samples) -> list:
+    """(rows, L, first-layer power stack) of each of the samples' `_stacks`:
+    all the metrics pass needs that no parameter changes."""
+    K = model.conv_layers[0].order
+    return [(rows, L, _power_stack(L, X, K)) for rows, L, X in _stacks(model, samples)]
+
+
+def _split_metrics(model: GcnnModel, samples, stacks) -> tuple[float, float]:
     """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off;
-    `buckets` are `_buckets(model, samples)`."""
+    `stacks` are `_first_layer_stacks(model, samples)`."""
     labels = _labels(samples, model.n_classes)
-    probs = _inference_probs(model, buckets)
+    probs = np.empty((len(samples), model.n_classes))
+    for rows, L, P in stacks:
+        probs[rows] = _probs(model, L, P)
     p_true = np.clip(probs[np.arange(len(samples)), labels], _PROB_FLOOR, 1.0)
     loss = -float(np.mean(np.log(p_true))) + model.l2_lambda * model.penalty_weight_squares()
     return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
@@ -569,9 +552,9 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
     if not val_set:
         raise EmptySplit("validation split is empty")
 
-    # padded once: the metrics pass of every epoch reuses them
-    train_buckets = _buckets(model, train_set)
-    val_buckets = _buckets(model, val_set)
+    # stacked once: the metrics pass of every epoch reuses them
+    train_stacks = _first_layer_stacks(model, train_set)
+    val_stacks = _first_layer_stacks(model, val_set)
     rng = np.random.default_rng(config.seed)
     state = optimizer_init(model.parameters(), config)
     history = TrainHistory()
@@ -600,8 +583,8 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
                 params, state = optimizer_step(state, model.parameters(), grads, config)
                 model.set_parameters(params)
 
-            tr_loss, tr_acc = _split_metrics(model, train_set, train_buckets)
-            va_loss, va_acc = _split_metrics(model, val_set, val_buckets)
+            tr_loss, tr_acc = _split_metrics(model, train_set, train_stacks)
+            va_loss, va_acc = _split_metrics(model, val_set, val_stacks)
         if not (math.isfinite(tr_loss) and math.isfinite(va_loss)):
             raise DivergedLoss(
                 f"non-finite loss at epoch {epoch + 1} (train {tr_loss}, val {va_loss})"
@@ -633,7 +616,7 @@ def evaluate(model: GcnnModel, samples: Sequence[GraphSample]):
     c = model.n_classes
     confusion = np.zeros((c, c), dtype=int)
     labels = _labels(samples, c)
-    predicted = np.argmax(_inference_probs(model, _buckets(model, samples)), axis=1)
+    predicted = np.argmax(_inference_probs(model, samples), axis=1)
     np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion)) / len(samples)
     return accuracy, confusion

@@ -5,9 +5,16 @@ import pytest
 
 from spectral_pattern import cli
 from spectral_pattern.cli import ExperimentReport, main
-from spectral_pattern.data import generate_synthetic_dataset, save_dataset
+from spectral_pattern.data import (
+    Standardizer,
+    generate_synthetic_dataset,
+    load_dataset,
+    prepare_inference_samples,
+    save_dataset,
+)
 from spectral_pattern.errors import DivergedLoss
-from spectral_pattern.nn import _checksum, load_checkpoint, save_checkpoint
+from spectral_pattern.graph import GraphConfig
+from spectral_pattern.nn import _checksum, build_model, load_checkpoint, save_checkpoint
 from spectral_pattern.geometry import FEATURE_NAMES
 
 from conftest import rect_ring, triangle_centres
@@ -140,6 +147,29 @@ class TestTrainEvalPredict:
             assert abs(sum(probs.values()) - 1.0) <= 1e-9
             assert obj["prediction"] in probs
 
+    def test_predict_bytes_equal_the_per_group_forward(self, data_path, artifacts, capsys):
+        # predict runs stacks of equal-size groups; each line must be the
+        # one that a forward of its group alone gives
+        out_path = artifacts["tmp"] / "pred-bytes.ndjson"
+        assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", data_path,
+                   "--out", out_path) == 0
+        capsys.readouterr()
+        model, extra = load_checkpoint(artifacts["ckpt"])
+        stats, labels = extra["standardizer"], extra["labels"]
+        std = Standardizer(mean=np.array(stats["mean"]), std=np.array(stats["std"]))
+        groups = load_dataset(data_path).groups
+        assert len({len(g.buildings) for g in groups}) < len(groups)  # a stack holds several
+        want = ""
+        for s in prepare_inference_samples(groups, std, GraphConfig(**extra["graph"])):
+            probs = model.forward(s.laplacian, s.features)
+            obj = {
+                "id": s.sample_id,
+                "probabilities": {lab: float(p) for lab, p in zip(labels, probs)},
+                "prediction": labels[int(np.argmax(probs))],
+            }
+            want += json.dumps(obj) + "\n"
+        assert out_path.read_bytes() == want.encode("utf-8")
+
     def test_predict_to_stdout(self, data_path, artifacts, capsys):
         assert run("predict", "--checkpoint", artifacts["ckpt"], "--data", data_path) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -218,18 +248,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    @pytest.mark.parametrize("extra", ["none", "short standardizer"])
+    @pytest.mark.parametrize("extra", ["none", "short standardizer", "masked"])
     def test_checkpoint_without_usable_settings_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, extra
     ):
         # a library save_checkpoint(path, model) passes the checksum but
-        # carries none of the settings the commands read
+        # carries none of the settings the commands read; inference gives a
+        # model every feature column, so one trained on a mask cannot run
         model, settings = load_checkpoint(artifacts["ckpt"])
+        stats = settings["standardizer"]
         if extra == "none":
             settings = None
-        else:
-            stats = settings["standardizer"]
+        elif extra == "short standardizer":
             stats["mean"], stats["std"] = stats["mean"][:-1], stats["std"][:-1]
+        else:
+            settings["feature_mask"] = ["area"]
+            stats["mean"], stats["std"] = stats["mean"][:1], stats["std"][:1]
+            model = build_model(1, (6, 6), order=3, seed=3)
         ckpt = tmp_path / "library.json"
         save_checkpoint(ckpt, model, settings)
         assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3

@@ -533,6 +533,35 @@ class TestBuildSpatialGraph:
             GraphConfig(laplacian="rw")
 
 
+class TestSizeStacks:
+    """`_size_stacks`, the one rule that cuts the graph builder's stacks and
+    the network's."""
+
+    def test_stacks_by_size_in_order_of_first_appearance(self, monkeypatch):
+        # 100 entries hold two graphs of 7, eleven of 3, one of 10; 12 is
+        # oversized and makes a stack of its own
+        monkeypatch.setattr(graph, "_STACK_ENTRIES", 100)
+        sizes = [7, 3, 12, 7, 3, 7, 12, 3, 7, 3, 10, 7]
+        assert list(graph._size_stacks(sizes)) == [
+            [0, 3], [5, 8], [11], [1, 4, 7, 9], [2], [6], [10],
+        ]
+
+    @pytest.mark.parametrize("cap", [1, 50, 1 << 16])
+    def test_every_position_once_and_each_stack_one_size_within_the_cap(
+        self, rng, monkeypatch, cap
+    ):
+        monkeypatch.setattr(graph, "_STACK_ENTRIES", cap)
+        sizes = rng.integers(1, 12, 200).tolist()
+        stacks = list(graph._size_stacks(sizes))
+        assert sorted(i for stack in stacks for i in stack) == list(range(len(sizes)))
+        for stack in stacks:
+            (n,) = {sizes[i] for i in stack}
+            assert len(stack) == 1 or len(stack) * n * n <= cap
+            assert stack == sorted(stack)
+        firsts = [sizes[stack[0]] for stack in stacks]
+        assert list(dict.fromkeys(firsts)) == list(dict.fromkeys(sizes))
+
+
 class TestSpatialGraphInvariants:
     def feat(self, n):
         return np.ones((n, 2))

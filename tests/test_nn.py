@@ -12,6 +12,7 @@ from spectral_pattern.errors import (
     ShapeMismatch,
     StateError,
 )
+from spectral_pattern import graph
 from spectral_pattern.geometry import Point2
 from spectral_pattern.graph import GraphConfig, SpatialGraph, laplacian
 from spectral_pattern.nn import (
@@ -34,9 +35,8 @@ from spectral_pattern.nn import (
 )
 import spectral_pattern.nn as nn
 from spectral_pattern.nn import (
-    _BUCKET,
-    _buckets,
     _conv_stack,
+    _first_layer_stacks,
     _inference_probs,
     _power_stack,
     _softmax,
@@ -493,8 +493,8 @@ class TestTrain:
         model = build_model(2, (3,), order=2, dropout_rate=0.4, seed=2)
         m, hist = train(model, splits, TrainConfig(epochs=12, seed=0, batch_size=4))
         assert hist.best_epoch >= 0
-        # fresh buckets here, the ones train built once there: equal bit for bit
-        loss, acc = _split_metrics(m, splits["val"], _buckets(m, splits["val"]))
+        # fresh stacks here, the ones train built once there: equal bit for bit
+        loss, acc = _split_metrics(m, splits["val"], _first_layer_stacks(m, splits["val"]))
         assert loss == hist.val_loss[hist.best_epoch]
         assert acc == hist.val_accuracy[hist.best_epoch]
         # so the recorded accuracy is what evaluate reports for the model
@@ -540,8 +540,16 @@ def per_sample_metrics(model, samples):
     return loss / len(samples), hits / len(samples)
 
 
-def batched_probs(model, samples):
-    return _inference_probs(model, _buckets(model, samples))
+def reference_split_metrics(model, samples, probs):
+    """`_split_metrics`' loss and accuracy from given probability rows."""
+    labels = np.array([s.label for s in samples])
+    p_true = np.clip(probs[np.arange(len(samples)), labels], 1e-12, 1.0)
+    loss = -float(np.mean(np.log(p_true))) + model.l2_lambda * model.penalty_weight_squares()
+    return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
+
+
+def per_graph_probs(model, samples):
+    return np.array([model.forward(s.laplacian, s.features) for s in samples])
 
 
 def conv_stack(model, L, X):
@@ -549,16 +557,16 @@ def conv_stack(model, L, X):
 
 
 class TestBatchedInference:
-    def bucket(self, rng):
-        # one bucket whose graphs have many different vertex counts, with
-        # classes close enough that some predictions are wrong
-        samples = make_samples(rng, _BUCKET, n_range=(4, 14), separation=0.2)
-        assert len({s.features.shape[0] for s in samples}) >= 4
+    def mixed(self, rng, count=16):
+        # graphs of several vertex counts, several of each, with classes
+        # close enough that some predictions are wrong
+        samples = make_samples(rng, count, n_range=(4, 14), separation=0.2)
+        sizes = [s.features.shape[0] for s in samples]
+        assert 4 <= len(set(sizes)) < len(sizes)
         return samples
 
     def model(self, rng, **kwargs):
-        # nonzero conv biases: with zero ones a padded vertex stays exactly
-        # zero through every layer, and a missing mask would go unseen
+        # nonzero conv biases, so that each layer's bias reaches the output
         model = tiny_model(rng, **kwargs)
         for layer in model.conv_layers:
             layer.bias[:] = rng.uniform(0.1, 0.5, layer.c_out)
@@ -566,12 +574,13 @@ class TestBatchedInference:
 
     @pytest.mark.parametrize("pool", HEAD)
     def test_metrics_and_evaluate_match_the_per_sample_loop(self, rng, pool):
-        samples = self.bucket(rng)
+        samples = self.mixed(rng)
         model = self.model(rng, l2=1e-3)
-        probs = np.array([model.forward(s.laplacian, s.features) for s in samples])
-        assert np.max(np.abs(batched_probs(model, samples) - probs)) <= 1e-12
+        probs = per_graph_probs(model, samples)
+        assert np.array_equal(_inference_probs(model, samples), probs)
 
-        loss, acc = _split_metrics(model, samples, _buckets(model, samples))
+        loss, acc = _split_metrics(model, samples, _first_layer_stacks(model, samples))
+        assert (loss, acc) == reference_split_metrics(model, samples, probs)
         want_loss, want_acc = per_sample_metrics(model, samples)
         assert abs(loss - want_loss) <= 1e-12
         assert acc == want_acc
@@ -585,46 +594,29 @@ class TestBatchedInference:
         assert got_acc == want_acc
 
     @pytest.mark.parametrize("pool", HEAD)
-    def test_padding_and_bucket_order_change_no_probabilities(self, rng, pool):
-        samples = self.bucket(rng)
+    def test_stack_cuts_and_sample_order_change_no_probabilities(self, rng, monkeypatch, pool):
+        samples = self.mixed(rng)
         model = self.model(rng)
-        probs = batched_probs(model, samples)
-        alone = np.vstack([batched_probs(model, [s]) for s in samples])  # nothing padded
-        assert np.max(np.abs(probs - alone)) <= 1e-12
+        probs = _inference_probs(model, samples)
         perm = rng.permutation(len(samples))
-        shuffled = batched_probs(model, [samples[i] for i in perm])
-        assert np.max(np.abs(shuffled - probs[perm])) <= 1e-12
-
-    def test_zero_rows_and_columns_leave_real_vertices_unchanged(self, rng):
-        model = self.model(rng)
-        s = make_samples(rng, 1, n_range=(6, 7))[0]
-        n, pad = 6, 5
-        L = np.zeros((n + pad, n + pad))
-        L[:n, :n] = s.laplacian
-        X = np.zeros((n + pad, 3))
-        X[:n] = s.features
-        want = conv_stack(model, s.laplacian, s.features)
-        assert np.max(np.abs(conv_stack(model, L, X)[:n] - want)) <= 1e-12
+        assert np.array_equal(_inference_probs(model, [samples[i] for i in perm]), probs[perm])
+        monkeypatch.setattr(graph, "_STACK_ENTRIES", 1)  # one graph per stack
+        assert np.array_equal(_inference_probs(model, samples), probs)
 
     def test_single_graph_paths_agree_with_the_batched_routine(self, rng):
         model = self.model(rng, channels=(4, 3))
-        samples = make_samples(rng, 2, n_range=(5, 10))
-        n_max = max(s.features.shape[0] for s in samples)
-        L = np.zeros((2, n_max, n_max))
-        X = np.zeros((2, n_max, 3))
-        for b, s in enumerate(samples):
-            n = s.features.shape[0]
-            L[b, :n, :n] = s.laplacian
-            X[b, :n] = s.features
+        samples = make_samples(rng, 3, n_range=(7, 8))
+        L = np.stack([s.laplacian for s in samples])
+        X = np.stack([s.features for s in samples])
         H = conv_stack(model, L, X)
-        probs = batched_probs(model, samples)
+        probs = model.forward(L, X)
+        assert np.array_equal(_inference_probs(model, samples), probs)
         for b, s in enumerate(samples):
-            n = s.features.shape[0]
             h = s.features
             for layer in model.conv_layers:
                 h = conv_layer_forward(layer, s.laplacian, h)
-            assert np.max(np.abs(H[b, :n] - h)) <= 1e-12
-            assert np.max(np.abs(model.forward(s.laplacian, s.features) - probs[b])) <= 1e-12
+            assert np.array_equal(H[b], h)
+            assert np.array_equal(model.forward(s.laplacian, s.features), probs[b])
 
     def test_rejects_a_sample_of_the_wrong_width(self, rng):
         model = tiny_model(rng, d=3)
@@ -633,22 +625,22 @@ class TestBatchedInference:
             evaluate(model, samples)
 
     @pytest.mark.parametrize("pool", HEAD)
-    def test_prebuilt_buckets_follow_new_parameters(self, rng, pool):
-        # two buckets, one of them partial, as train builds them once and
-        # runs them again after every optimizer step
-        samples = make_samples(rng, _BUCKET + 5, n_range=(4, 14), separation=0.2)
-        model = self.model(rng)
-        buckets = _buckets(model, samples)
-        kept = [[a.copy() for a in (b.rows, b.L, b.stack, b.real, b.counts)] for b in buckets]
-        before = _inference_probs(model, buckets)
+    def test_prebuilt_stacks_follow_new_parameters(self, rng, pool):
+        # stacks as train builds them once and runs them again after every
+        # optimizer step
+        samples = self.mixed(rng, 21)
+        model = self.model(rng, l2=1e-3)
+        stacks = _first_layer_stacks(model, samples)
+        kept = [[np.copy(a) for a in stack] for stack in stacks]
+        before = _split_metrics(model, samples, stacks)
 
         new = [p + rng.uniform(-0.3, 0.3, p.shape) for p in model.parameters()]
         model.set_parameters(new)
-        after = _inference_probs(model, buckets)
-        assert not np.array_equal(after, before)
-        assert np.array_equal(after, batched_probs(model, samples))
-        for b, arrays in zip(buckets, kept):
-            for a, k in zip((b.rows, b.L, b.stack, b.real, b.counts), arrays):
+        after = _split_metrics(model, samples, stacks)
+        assert after != before
+        assert after == reference_split_metrics(model, samples, per_graph_probs(model, samples))
+        for stack, arrays in zip(stacks, kept, strict=True):
+            for a, k in zip(stack, arrays, strict=True):
                 assert np.array_equal(a, k)
 
     def test_rejects_a_label_outside_the_classes(self, rng):
@@ -656,6 +648,49 @@ class TestBatchedInference:
         s = make_samples(rng, 1)[0]
         with pytest.raises(InvalidLabel):
             evaluate(model, [GraphSample(s.laplacian, s.features, label=-1)])
+
+
+class TestStackedForward:
+    """`forward` on a stack of graphs of one size: each row is its graph's
+    own `forward`, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, count, d, channels, order",
+        [
+            (2, 5, 1, (3,), 1),
+            (5, 1, 3, (4, 3), 2),
+            (9, 17, 5, (6, 5, 4), 3),
+            (23, 8, 5, (24, 24, 24, 24), 3),
+            (31, 4, 2, (8, 8), 6),
+        ],
+    )
+    def test_rows_equal_the_per_graph_forward(self, rng, n, count, d, channels, order):
+        model = build_model(d, channels, order=order, seed=int(rng.integers(0, 2**31)))
+        for layer in model.conv_layers:
+            layer.bias[:] = rng.uniform(0.0, 0.3, layer.c_out)
+        Ls = [scaled_laplacian(rng, n).values for _ in range(count)]
+        Xs = [rng.standard_normal((n, d)) for _ in range(count)]
+        probs = model.forward(np.stack(Ls), np.stack(Xs))
+        assert probs.shape == (count, 2)
+        for L, X, row in zip(Ls, Xs, probs, strict=True):
+            assert np.array_equal(model.forward(L, X), row)
+
+    def test_retain_on_a_stack_raises(self, rng):
+        model = tiny_model(rng)
+        L = np.stack([scaled_laplacian(rng, 6).values] * 2)
+        X = rng.standard_normal((2, 6, 3))
+        with pytest.raises(ValueError, match="one graph"):
+            model.forward(L, X, retain=True)
+
+    @pytest.mark.parametrize(
+        "L_shape, X_shape",
+        [((3, 6, 6), (2, 6, 3)), ((2, 6, 6), (2, 6, 4)), ((2, 6, 6), (2, 5, 3)), ((2, 6, 6), (6, 3))],
+        ids=["batch sizes", "width", "vertex count", "one signal"],
+    )
+    def test_stack_shape_faults(self, rng, L_shape, X_shape):
+        model = tiny_model(rng)
+        with pytest.raises(DimensionMismatch):
+            model.forward(np.zeros(L_shape), np.ones(X_shape))
 
 
 # graphs that fit no model with 3 feature channels
@@ -667,8 +702,8 @@ BAD_GRAPHS = {
 
 
 class TestGraphShapes:
-    """One shape check guards the single-graph forward and the padded
-    buckets of evaluate and train."""
+    """One shape check guards forward, on one graph or a stack, and the
+    stacks of evaluate and train."""
 
     @pytest.mark.parametrize("pool", HEAD)
     @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
@@ -686,6 +721,16 @@ class TestGraphShapes:
         with pytest.raises(DimensionMismatch, match="'g-bad'"):
             evaluate(model, make_samples(rng, 3) + [bad])
 
+    @pytest.mark.parametrize("features", [(6,), (2, 6, 3)], ids=["one axis", "a stack"])
+    def test_a_sample_is_one_graph(self, rng, features):
+        L = np.broadcast_to(np.eye(6), features[:-1] + (6, 6))
+        bad = GraphSample(L, np.ones(features), label=0, sample_id="g-bad")
+        model = tiny_model(rng)
+        with pytest.raises(DimensionMismatch, match="'g-bad'"):
+            evaluate(model, make_samples(rng, 3) + [bad])
+        with pytest.raises(DimensionMismatch, match="'g-bad'"):
+            train(model, {"train": make_samples(rng, 4) + [bad], "val": make_samples(rng, 2)})
+
     @pytest.mark.parametrize("pool", HEAD)
     @pytest.mark.parametrize("case", sorted(BAD_GRAPHS))
     @pytest.mark.parametrize("split", ["train", "val"])
@@ -699,10 +744,10 @@ class TestGraphShapes:
 
 
 # ---------------------------------------------------------------------------
-# The single-graph head as it stood before forward and the padded pass
+# The single-graph head as it stood before forward and the batched pass
 # shared `_probs`: mean pooling, inverted dropout, then
-# softmax(W.T h + b) on the one pooled vector.  Forward, backward and
-# training must equal it bit for bit.
+# softmax(W.T h + b) on the one pooled vector.  Forward, backward, stacked
+# inference and training must equal it bit for bit.
 
 
 def reference_forward(model, L, X, training=False, rng=None):
@@ -749,13 +794,8 @@ def reference_backward(model, retained, label):
     return grads + [d_w, dlogits.copy()]
 
 
-def reference_inference_probs(model, buckets):
-    probs = np.empty((sum(len(b.rows) for b in buckets), model.n_classes))
-    for b in buckets:
-        H = _conv_stack(model.conv_layers, b.L, b.stack) * b.real
-        pooled = H.sum(axis=1) / b.counts
-        probs[b.rows] = _softmax(pooled @ model.dense.weights + model.dense.bias)
-    return probs
+def reference_probs(model, samples):
+    return np.array([reference_forward(model, s.laplacian, s.features)[0] for s in samples])
 
 
 HEADS = [("mean", 0.0), ("mean", 0.5)]
@@ -783,10 +823,7 @@ class TestReferenceHead:
             grads = backward(model, s.laplacian, s.features, s.label)
             for g, w in zip(grads, reference_backward(model, retained, s.label), strict=True):
                 assert np.array_equal(g, w)
-        buckets = _buckets(model, samples)
-        assert np.array_equal(
-            _inference_probs(model, buckets), reference_inference_probs(model, buckets)
-        )
+        assert np.array_equal(_inference_probs(model, samples), reference_probs(model, samples))
 
     @pytest.mark.parametrize("pool,dropout", HEADS)
     def test_train_is_bit_identical(self, monkeypatch, pool, dropout):
@@ -801,7 +838,11 @@ class TestReferenceHead:
 
         monkeypatch.setattr(GcnnModel, "forward", forward)
         monkeypatch.setattr(nn, "backward", lambda m, L, X, y: reference_backward(m, m._reference, y))
-        monkeypatch.setattr(nn, "_inference_probs", reference_inference_probs)
+        monkeypatch.setattr(
+            nn,
+            "_split_metrics",
+            lambda m, samples, stacks: reference_split_metrics(m, samples, reference_probs(m, samples)),
+        )
         ref_model, ref_history = train(self.model(dropout), splits, config)
         for p, q in zip(model.parameters(), ref_model.parameters(), strict=True):
             assert np.array_equal(p, q)

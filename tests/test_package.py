@@ -87,6 +87,9 @@ def test_settings_a_caller_can_pass_are_pinned():
         "n_groups", "size_range", "seed",
     ]
     assert not hasattr(data, "GeneratorProfile")
+    assert list(inspect.signature(data.prepare_inference_samples).parameters) == [
+        "groups", "standardizer", "graph_config",
+    ]
 
 
 def test_command_options_are_pinned():
