@@ -107,14 +107,14 @@ _TRAIN_FLAGS = (
 
 def _runs(args, variants):
     """Trains one model per (name, K, feature mask) variant on the split and
-    graphs the flags ask for; yields (model, history, splits, standardizer,
+    graphs the flags ask for; yields (model, history, samples, standardizer,
     graph config, seconds) per variant, in order.
 
     Every model and the TrainConfig are made before any graph is built, so a
     bad flag fails at once.  The graphs are built once, since neither K nor
     a mask changes them.  A failure is prefixed with its variant's name, if any.
     """
-    ds = split_dataset(load_dataset(args.data), _parse_ratios(args.split), args.seed)
+    groups = split_dataset(load_dataset(args.data), _parse_ratios(args.split), args.seed)
     config = GraphConfig(
         structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
     )
@@ -136,17 +136,17 @@ def _runs(args, variants):
         seed=args.seed,
         optimizer=args.optimizer,
     )
-    graphs = split_graphs(ds, config)
+    graphs = split_graphs(groups, config)
     for (name, _, mask), model in zip(variants, models):
         start = time.perf_counter()
         try:
-            splits, standardizer = training_samples(ds, graphs, mask)
-            model, history = train(model, splits, train_config)
+            samples, standardizer = training_samples(groups, graphs, mask)
+            model, history = train(model, samples, train_config)
         except SpectralPatternError as exc:
             if name:
                 exc.args = (f"{name}: {exc}",)
             raise
-        yield model, history, splits, standardizer, config, time.perf_counter() - start
+        yield model, history, samples, standardizer, config, time.perf_counter() - start
 
 
 def _checkpoint_extra(args, config: GraphConfig, standardizer) -> dict:
@@ -248,9 +248,8 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
     with _checkpoint_settings():
-        ds = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
-    groups = ds.split_groups(args.split)
-    samples = prepare_inference_samples(groups, std, config)
+        splits = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
+    samples = prepare_inference_samples(splits[args.split], std, config)
     accuracy, confusion = evaluate(model, samples)
     print(f"{args.split} accuracy: {accuracy:.4f} ({len(samples)} groups)")
     print("confusion (rows = true, cols = predicted):")

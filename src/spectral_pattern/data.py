@@ -29,7 +29,6 @@ from .errors import (
     InsufficientSamples,
     InvalidPolygon,
     ParseError,
-    StateError,
     UnknownLabel,
 )
 from .geometry import FEATURE_NAMES, Polygon, polygons
@@ -41,6 +40,7 @@ LABELS = ("regular", "irregular")
 _STD_FLOOR = 1e-8
 _RINGS_PER_BUILD = 2048  # footprints parsed before they are built as one batch
 _JSON_NUMBERS = (int, float)  # exact types: bool is an int subclass
+_SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -63,34 +63,12 @@ class BuildingGroup:
         return None if self.label is None else LABELS.index(self.label)
 
 
-@dataclass(frozen=True)
-class Splits:
-    train: tuple[int, ...]
-    val: tuple[int, ...]
-    test: tuple[int, ...]
-
-
 @dataclass
 class Dataset:
     groups: list[BuildingGroup]
-    splits: Splits | None = None
-
-    def __post_init__(self):
-        if self.splits is not None:
-            labeled = {i for i, g in enumerate(self.groups) if g.label is not None}
-            parts = [set(self.splits.train), set(self.splits.val), set(self.splits.test)]
-            if sum(len(p) for p in parts) != len(set().union(*parts)):
-                raise ValueError("split index lists overlap")
-            if set().union(*parts) != labeled:
-                raise ValueError("splits must cover exactly the labeled groups")
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def split_groups(self, name: str) -> list[BuildingGroup]:
-        if self.splits is None:
-            raise StateError("dataset has no splits; call split_dataset first")
-        return [self.groups[i] for i in getattr(self.splits, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +193,13 @@ def _allocate(count: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
-def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
-    """Stratified train/val/test split of the labeled groups.
+def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> dict:
+    """Stratified train/val/test split of the labeled groups:
+    {"train": [...], "val": [...], "test": [...]}, each list in file order.
 
     Per-class allocation uses largest remainders, so each class lands within
     one sample of its exact proportion in every split.  Deterministic for a
-    fixed seed; the index lists come back sorted.
+    fixed seed.
     """
     ratios = tuple(float(r) for r in ratios)
     if not all(math.isfinite(r) for r in ratios):
@@ -237,8 +216,7 @@ def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Da
     for lab, idxs in by_label.items():
         if 0 < len(idxs) < 3:
             raise InsufficientSamples(f"class {lab!r} has only {len(idxs)} groups, need 3")
-    present = {lab: idxs for lab, idxs in by_label.items() if idxs}
-    if not present:
+    if not any(by_label.values()):
         raise InsufficientSamples("dataset has no labeled groups")
 
     rng = np.random.default_rng(seed)
@@ -253,12 +231,8 @@ def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> Da
         buckets[0].extend(shuffled[:n_tr])
         buckets[1].extend(shuffled[n_tr : n_tr + n_va])
         buckets[2].extend(shuffled[n_tr + n_va :])
-    splits = Splits(
-        train=tuple(sorted(buckets[0])),
-        val=tuple(sorted(buckets[1])),
-        test=tuple(sorted(buckets[2])),
-    )
-    return Dataset(groups=dataset.groups, splits=splits)
+    return {name: [dataset.groups[i] for i in sorted(bucket)]
+            for name, bucket in zip(_SPLIT_NAMES, buckets)}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +264,10 @@ class Standardizer:
             raise ValueError(
                 f"features have {F.shape[1]} columns, standardizer has {self.mean.shape[0]}"
             )
-        return (F - self.mean) / self.std
+        # an overflow stays inf, without a warning: inference refuses the
+        # probabilities that it gives
+        with np.errstate(over="ignore"):
+            return (F - self.mean) / self.std
 
 
 def _mask_indices(feature_mask) -> tuple[int, ...]:
@@ -519,22 +496,28 @@ def _samples(groups, graphs, cols, standardizer: Standardizer) -> list[GraphSamp
     ]
 
 
-def split_graphs(dataset: Dataset, graph_config: GraphConfig | None = None) -> dict:
+def split_graphs(splits: dict, graph_config: GraphConfig | None = None) -> dict:
     """{"train": [...], "val": [...], "test": [...]}: the (unmasked features,
-    Laplacian) pair of each split's groups, all built in one pass.  Neither
-    the filter order nor a feature mask changes them, so one call serves
-    every model trained on the split."""
-    if dataset.splits is None:
-        raise StateError("dataset has no splits; call split_dataset first")
-    if not dataset.splits.train:
+    Laplacian) pair of each group of `split_dataset`'s splits, all built in
+    one pass.  Neither the filter order nor a feature mask changes them, so
+    one call serves every model trained on the split.  Every group must have
+    a label, and no group id may be in two splits."""
+    seen = {}
+    for name in _SPLIT_NAMES:
+        for g in splits[name]:
+            if g.label is None:
+                raise ValueError(f"{name} group {g.group_id!r} has no label")
+            first = seen.setdefault(g.group_id, name)
+            if first != name:
+                raise ValueError(f"splits overlap: group {g.group_id!r} is in {first} and {name}")
+    if not splits["train"]:
         raise EmptySplit("training split is empty; the standardizer needs training buildings")
     config = graph_config if graph_config is not None else GraphConfig()
-    names = ("train", "val", "test")
-    graphs = iter(_graphs([g for name in names for g in dataset.split_groups(name)], config))
-    return {name: [next(graphs) for _ in getattr(dataset.splits, name)] for name in names}
+    graphs = iter(_graphs([g for name in _SPLIT_NAMES for g in splits[name]], config))
+    return {name: [next(graphs) for _ in splits[name]] for name in _SPLIT_NAMES}
 
 
-def training_samples(dataset: Dataset, graphs: dict, feature_mask=None):
+def training_samples(splits: dict, graphs: dict, feature_mask=None):
     """Each split's samples from its `split_graphs`, and the Standardizer
     fitted on the training split's buildings: ({"train": [...], "val":
     [...], "test": [...]}, Standardizer).  The feature mask (names or
@@ -544,23 +527,23 @@ def training_samples(dataset: Dataset, graphs: dict, feature_mask=None):
     standardizer = Standardizer(
         mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
     )
-    out = {name: _samples(dataset.split_groups(name), graphs[name], cols, standardizer)
-           for name in ("train", "val", "test")}
+    out = {name: _samples(splits[name], graphs[name], cols, standardizer) for name in _SPLIT_NAMES}
     return out, standardizer
 
 
 def prepare_training_samples(
-    dataset: Dataset,
+    splits: dict,
     graph_config: GraphConfig | None = None,
     feature_mask=None,
 ):
-    """Graphs, Laplacians, and standardized features for each split.
+    """Graphs, Laplacians, and standardized features for each of
+    `split_dataset`'s splits.
 
     Returns ({"train": [...], "val": [...], "test": [...]}, Standardizer).
     The feature mask (names or indices) is applied before fitting, and the
     standardizer sees training buildings only.
     """
-    return training_samples(dataset, split_graphs(dataset, graph_config), feature_mask)
+    return training_samples(splits, split_graphs(splits, graph_config), feature_mask)
 
 
 def prepare_inference_samples(

@@ -64,6 +64,8 @@ class GraphConfig:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if self.laplacian not in LAPLACIAN_KINDS:
             raise ValueError(f"laplacian must be one of {LAPLACIAN_KINDS}, got {self.laplacian!r}")
+        if not isinstance(self.scaled, bool):
+            raise ValueError(f"scaled must be a bool, got {self.scaled!r}")
 
 
 @dataclass(frozen=True, eq=False)

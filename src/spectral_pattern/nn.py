@@ -26,6 +26,7 @@ from .errors import (
     DivergedLoss,
     EmptySplit,
     InvalidLabel,
+    NumericError,
     ShapeMismatch,
     StateError,
 )
@@ -502,10 +503,17 @@ def _stacks(model: GcnnModel, samples: Sequence[GraphSample]):
 
 def _inference_probs(model: GcnnModel, samples: Sequence[GraphSample]) -> np.ndarray:
     """(N, n_classes) probabilities with dropout off, rows in sample order:
-    `forward` on each of the samples' `_stacks`."""
+    `forward` on each of the samples' `_stacks`.  Raises NumericError naming
+    the first sample whose probabilities are not finite."""
     probs = np.empty((len(samples), model.n_classes))
-    for rows, L, X in _stacks(model, samples):
-        probs[rows] = model.forward(L, X)
+    # overflow warnings are silenced: the finite check below names the sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, L, X in _stacks(model, samples):
+            probs[rows] = model.forward(L, X)
+    bad = ~np.all(np.isfinite(probs), axis=1)
+    if np.any(bad):
+        s = samples[int(np.argmax(bad))]
+        raise NumericError(f"sample {s.sample_id!r}: probabilities are not finite")
     return probs
 
 

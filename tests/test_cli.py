@@ -11,6 +11,7 @@ from spectral_pattern.data import (
     load_dataset,
     prepare_inference_samples,
     save_dataset,
+    split_dataset,
 )
 from spectral_pattern.errors import DivergedLoss
 from spectral_pattern.graph import GraphConfig
@@ -285,6 +286,78 @@ class TestExitCodes:
         assert "data error: checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "edit, fault",
+        [(lambda m: m["conv_layers"][0].update(theta=m["conv_layers"][0]["theta"][0]),
+          "theta must be (K, c_in, c_out), got (5, 6)"),
+         (lambda m: m["conv_layers"][1]["theta"][2][0].__setitem__(3, float("nan")),
+          "layer parameters must be finite"),
+         (lambda m: m["conv_layers"][1]["bias"].append(0.0), "bias must be (6,), got (7,)"),
+         (lambda m: m["dense"]["weights"][4].__setitem__(1, float("inf")),
+          "dense parameters must be finite"),
+         (lambda m: m.update(conv_layers=[]), "model needs at least one conv layer"),
+         (lambda m: m["dense"]["weights"].append([0.0, 0.0]),
+          "dense expects 7 channels, last conv emits 6")],
+        ids=["2d-theta", "nan-theta", "bias-shape", "inf-dense-weight", "no-conv-layers",
+             "dense-width"],
+    )
+    def test_malformed_model_payload_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, edit, fault
+    ):
+        # each payload passes its checksum, so only the model's own checks stop it
+        doc = json.loads(artifacts["ckpt"].read_text())
+        edit(doc["payload"]["model"])
+        doc["checksum"] = _checksum(doc["payload"])
+        ckpt = tmp_path / "bad-model.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "out.ndjson"
+        argv = ["--out", out] if command == "predict" else []
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
+        assert f"data error: malformed checkpoint payload: {fault}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("scaled", [0, None, "no"], ids=["zero", "null", "string"])
+    def test_checkpoint_whose_scaled_is_not_a_bool_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, scaled
+    ):
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        settings["graph"]["scaled"] = scaled
+        ckpt = tmp_path / "scaled.json"
+        save_checkpoint(ckpt, model, settings)
+        assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
+        assert f"scaled must be a bool, got {scaled!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("where", ["dense-weights", "conv-thetas", "standardizer-mean"])
+    def test_probabilities_that_overflow_are_4(
+        self, data_path, artifacts, tmp_path, capsys, command, where
+    ):
+        # finite settings whose probabilities are not: refused, naming the
+        # first sample, with no output and no numpy warning
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        if where == "dense-weights":  # on a last conv layer that emits 2 everywhere
+            model.conv_layers[-1].theta[:] = 0.0
+            model.conv_layers[-1].bias[:] = 2.0
+            model.dense.weights[:] = 1e308
+        elif where == "conv-thetas":
+            for layer in model.conv_layers:
+                layer.theta[:] = 1e308
+        else:  # some feature's std is below 1, so its column overflows
+            settings["standardizer"]["mean"] = [1e308] * len(FEATURE_NAMES)
+        ckpt = tmp_path / "overflow.json"
+        save_checkpoint(ckpt, model, settings)
+        out = tmp_path / "out.ndjson"
+        if command == "predict":
+            argv, first = ["--out", out], load_dataset(data_path).groups[0]
+        else:
+            argv, first = [], split_dataset(load_dataset(data_path), seed=3)["test"][0]
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 4
+        assert capsys.readouterr().err == (
+            f"numeric error: sample {first.group_id!r}: probabilities are not finite\n")
+        assert not out.exists()
+
     def test_checkpoint_with_bad_split_ratios_is_3(self, data_path, artifacts, tmp_path, capsys):
         model, settings = load_checkpoint(artifacts["ckpt"])
         settings["split"]["ratios"] = [0.5, 0.5]
@@ -421,6 +494,18 @@ class TestExitCodes:
             assert "also on line 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_line_that_is_not_an_object_is_3(self, artifacts, tmp_path, capsys, command):
+        path = tmp_path / "array.ndjson"
+        path.write_text("[1, 2]\n")
+        if command == "predict":
+            argv = ("predict", "--checkpoint", artifacts["ckpt"], "--data", path)
+        else:
+            argv = ("train", "--data", path, "--checkpoint", tmp_path / "m.json", *FAST)
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "data error: line 1: group line must be a JSON object\n")
+
     def test_divergence_is_4(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",
                  "--optimizer", "sgd", "--lr", "1e12", "--epochs", "60",
@@ -459,6 +544,14 @@ class TestExitCodes:
                  "--split", "0.5,0.5", *FAST)
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_number_split_is_2_and_named(self, data_path, tmp_path, capsys):
+        rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",
+                 "--split", "a,b,c", *FAST)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: --split must be three comma-separated numbers, got 'a,b,c'\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_nan_split_ratio_is_2_and_named(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",

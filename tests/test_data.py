@@ -11,7 +11,6 @@ from spectral_pattern.data import (
     LABELS,
     BuildingGroup,
     Dataset,
-    Splits,
     Standardizer,
     _allocate,
     generate_synthetic_dataset,
@@ -20,6 +19,7 @@ from spectral_pattern.data import (
     prepare_training_samples,
     save_dataset,
     split_dataset,
+    split_graphs,
 )
 from spectral_pattern.errors import (
     CoincidentCentroids,
@@ -32,7 +32,6 @@ from spectral_pattern.errors import (
     InsufficientSamples,
     InvalidPolygon,
     ParseError,
-    StateError,
     UnknownLabel,
 )
 from spectral_pattern.geometry import (
@@ -96,26 +95,23 @@ class TestBuildingGroup:
 
 
 class TestDatasetInvariants:
-    def test_overlapping_splits_rejected(self):
-        groups = make_groups(2, 2)
-        with pytest.raises(ValueError, match="overlap"):
-            Dataset(groups, Splits(train=(0, 1), val=(1,), test=(2, 3)))
+    """`split_graphs`, the one entry of every training path, refuses splits
+    that `split_dataset` cannot give."""
 
-    def test_splits_must_cover_labeled(self):
-        groups = make_groups(2, 2)
-        with pytest.raises(ValueError, match="cover"):
-            Dataset(groups, Splits(train=(0,), val=(1,), test=(2,)))
+    def test_overlapping_splits_rejected(self):
+        r0, r1, i0, i1 = make_groups(2, 2)
+        splits = {"train": [r0, r1], "val": [r1], "test": [i0, i1]}
+        with pytest.raises(ValueError, match="splits overlap: group 'r1' is in train and val"):
+            split_graphs(splits)
 
     def test_unlabeled_groups_stay_out_of_splits(self):
-        groups = make_groups(2, 2, n_unlabeled=1)
-        ds = Dataset(groups, Splits(train=(0, 2), val=(1,), test=(3,)))
-        assert len(ds) == 5
-        assert [g.group_id for g in ds.split_groups("train")] == ["r0", "i0"]
-
-    def test_split_groups_requires_splits(self):
-        ds = Dataset(make_groups(2, 2))
-        with pytest.raises(StateError):
-            ds.split_groups("train")
+        *labeled, u0 = make_groups(3, 3, n_unlabeled=1)
+        splits = split_dataset(Dataset([*labeled[:3], u0, *labeled[3:]]), seed=0)
+        assert sorted(g.group_id for part in splits.values() for g in part) == sorted(
+            g.group_id for g in labeled)
+        splits["val"].append(u0)
+        with pytest.raises(ValueError, match="val group 'u0' has no label"):
+            split_graphs(splits)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +152,7 @@ class TestNdjsonIO:
         path = tmp_path / "empty.ndjson"
         path.write_text("")
         ds = load_dataset(path)
-        assert len(ds) == 0 and ds.splits is None
+        assert len(ds) == 0 and ds.groups == []
 
     def test_blank_lines_skipped(self, tmp_path):
         ds = Dataset(make_groups(1, 0))
@@ -339,35 +335,39 @@ class TestSplitDataset:
     def test_balanced_100_gives_60_20_20(self):
         ds = Dataset(make_groups(50, 50))
         out = split_dataset(ds, (0.6, 0.2, 0.2), seed=1)
-        assert (len(out.splits.train), len(out.splits.val), len(out.splits.test)) == (60, 20, 20)
-        for part in (out.splits.train, out.splits.val, out.splits.test):
-            labels = [ds.groups[i].label for i in part]
+        assert list(out) == ["train", "val", "test"]
+        assert [len(part) for part in out.values()] == [60, 20, 20]
+        for part in out.values():
+            labels = [g.label for g in part]
             assert labels.count("regular") == labels.count("irregular")
 
     def test_stratified_within_one(self):
         ds = Dataset(make_groups(51, 49))
         out = split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
-        for part, ratio in ((out.splits.train, 0.6), (out.splits.val, 0.2), (out.splits.test, 0.2)):
-            labels = [ds.groups[i].label for i in part]
+        for part, ratio in zip(out.values(), (0.6, 0.2, 0.2)):
+            labels = [g.label for g in part]
             assert abs(labels.count("regular") - 51 * ratio) <= 1
             assert abs(labels.count("irregular") - 49 * ratio) <= 1
 
     def test_deterministic_and_seed_sensitive(self):
         ds = Dataset(make_groups(20, 20))
-        a = split_dataset(ds, seed=7).splits
-        b = split_dataset(ds, seed=7).splits
-        c = split_dataset(ds, seed=8).splits
+        a = split_dataset(ds, seed=7)
+        b = split_dataset(ds, seed=7)
+        c = split_dataset(ds, seed=8)
         assert a == b
         assert a != c
 
     def test_indices_sorted_disjoint_and_cover(self):
+        # each split holds the dataset's own groups, in file order
         ds = Dataset(make_groups(10, 10, n_unlabeled=3))
         out = split_dataset(ds, seed=0)
-        all_idx = out.splits.train + out.splits.val + out.splits.test
+        position = {id(g): i for i, g in enumerate(ds.groups)}
+        all_idx = [position[id(g)] for part in out.values() for g in part]
         assert len(all_idx) == len(set(all_idx)) == 20
         assert set(all_idx) == set(range(20))  # unlabeled groups are 20..22
-        for part in (out.splits.train, out.splits.val, out.splits.test):
-            assert list(part) == sorted(part)
+        for part in out.values():
+            idx = [position[id(g)] for g in part]
+            assert idx == sorted(idx)
 
     def test_small_class_rejected(self):
         ds = Dataset(make_groups(10, 2))
@@ -423,9 +423,12 @@ def square_group(gid, side, label="regular"):
 def fitted(groups, train, feature_mask=None):
     """The standardizer `prepare_training_samples` fits with groups `train`
     as the training split and the rest as validation."""
-    val = tuple(i for i in range(len(groups)) if i not in train)
-    ds = Dataset(groups, Splits(train=tuple(train), val=val, test=()))
-    return prepare_training_samples(ds, feature_mask=feature_mask)
+    splits = {
+        "train": [groups[i] for i in train],
+        "val": [g for i, g in enumerate(groups) if i not in train],
+        "test": [],
+    }
+    return prepare_training_samples(splits, feature_mask=feature_mask)
 
 
 class TestStandardizer:
@@ -448,7 +451,7 @@ class TestStandardizer:
         assert np.array_equal(s1.std, s2.std)
 
     def test_transform_normalizes_training_rows(self):
-        groups = [square_group("a", s) for s in (1.0, 2.0, 5.0)]
+        groups = [square_group(f"side-{s:g}", s) for s in (1.0, 2.0, 5.0)]
         splits, _ = fitted(groups, [0, 1, 2])
         rows = np.array([
             tuple(extract_features(p)) for g in groups for p in g.buildings
@@ -472,7 +475,7 @@ class TestStandardizer:
             fitted([square_group("a", 1.0)], [])
 
     def test_feature_mask_by_name_and_index(self):
-        groups = [square_group("a", s) for s in (1.0, 2.0)]
+        groups = [square_group(f"side-{s:g}", s) for s in (1.0, 2.0)]
         _, by_name = fitted(groups, [0, 1], feature_mask=("area",))
         _, by_index = fitted(groups, [0, 1], feature_mask=[0])
         assert by_name.mean.shape == (1,)
@@ -558,7 +561,6 @@ class TestSyntheticGenerator:
         labels = [g.label for g in small.groups]
         assert labels[0::2] == ["regular"] * 10
         assert labels[1::2] == ["irregular"] * 10
-        assert small.splits is None
 
     def test_sizes_within_range(self, small):
         for g in small.groups:
@@ -632,21 +634,19 @@ class TestSyntheticGenerator:
 
 
 @pytest.fixture(scope="module")
-def ds():
+def split():
     raw = generate_synthetic_dataset(n_groups=12, size_range=(3, 5), seed=17)
     return split_dataset(raw, (0.6, 0.2, 0.2), seed=2)
 
 
 class TestPrepareSamples:
-    def test_shapes_labels_and_ids(self, ds):
-        splits, std = prepare_training_samples(ds)
-        assert set(splits) == {"train", "val", "test"}
+    def test_shapes_labels_and_ids(self, split):
+        samples, std = prepare_training_samples(split)
+        assert set(samples) == {"train", "val", "test"}
         assert std.mean.shape == (5,)
         for name in ("train", "val", "test"):
-            idxs = getattr(ds.splits, name)
-            assert len(splits[name]) == len(idxs)
-            for sample, idx in zip(splits[name], idxs):
-                group = ds.groups[idx]
+            assert len(samples[name]) == len(split[name])
+            for sample, group in zip(samples[name], split[name]):
                 n = len(group.buildings)
                 assert sample.laplacian.shape == (n, n)
                 assert np.allclose(sample.laplacian, sample.laplacian.T, atol=1e-12)
@@ -654,28 +654,22 @@ class TestPrepareSamples:
                 assert sample.label == group.label_index
                 assert sample.sample_id == group.group_id
 
-    def test_training_features_standardized(self, ds):
-        splits, _ = prepare_training_samples(ds)
-        stacked = np.vstack([s.features for s in splits["train"]])
+    def test_training_features_standardized(self, split):
+        samples, _ = prepare_training_samples(split)
+        stacked = np.vstack([s.features for s in samples["train"]])
         assert np.all(np.abs(stacked.mean(axis=0)) <= 1e-9)
         spread = stacked.std(axis=0)
         assert np.all((np.abs(spread - 1.0) <= 1e-6) | (spread <= 1e-6))
 
-    def test_feature_mask_narrows_columns(self, ds):
-        splits, std = prepare_training_samples(ds, feature_mask=("area",))
+    def test_feature_mask_narrows_columns(self, split):
+        samples, std = prepare_training_samples(split, feature_mask=("area",))
         assert std.mean.shape == (1,)
-        assert splits["train"][0].features.shape[1] == 1
+        assert samples["train"][0].features.shape[1] == 1
 
-    def test_requires_splits(self):
-        raw = generate_synthetic_dataset(n_groups=4, size_range=(3, 4), seed=19)
-        with pytest.raises(StateError):
-            prepare_training_samples(raw)
-
-    def test_inference_matches_training_transform(self, ds):
-        splits, std = prepare_training_samples(ds)
-        test_groups = [ds.groups[i] for i in ds.splits.test]
-        inferred = prepare_inference_samples(test_groups, std)
-        for a, b in zip(splits["test"], inferred):
+    def test_inference_matches_training_transform(self, split):
+        samples, std = prepare_training_samples(split)
+        inferred = prepare_inference_samples(split["test"], std)
+        for a, b in zip(samples["test"], inferred):
             assert a.sample_id == b.sample_id
             assert np.allclose(a.features, b.features, atol=1e-12)
             assert np.allclose(a.laplacian, b.laplacian, atol=1e-12)
@@ -840,17 +834,17 @@ class TestGraphBuilder:
     )
     def test_training_samples_match_the_loop(self, mask):
         # masked columns too, bit for bit and with equal strides
-        ds = split_dataset(generate_synthetic_dataset(40, (3, 30), seed=31), seed=5)
+        split = split_dataset(generate_synthetic_dataset(40, (3, 30), seed=31), seed=5)
         cols = list(data._mask_indices(mask))
         for config in (GraphConfig(), GraphConfig("mst", "gaussian", "comb")):
-            splits, std = prepare_training_samples(ds, config, mask)
-            train = ds.split_groups("train")
-            rows = np.vstack([reference_graph(g.buildings, config)[0][:, cols] for g in train])
+            samples, std = prepare_training_samples(split, config, mask)
+            rows = np.vstack(
+                [reference_graph(g.buildings, config)[0][:, cols] for g in split["train"]])
             assert std.mean.tobytes() == rows.mean(axis=0).tobytes()
             assert std.std.tobytes() == np.maximum(rows.std(axis=0), 1e-8).tobytes()
             for name in ("train", "val", "test"):
-                want = reference_samples(ds.split_groups(name), std, config, cols)
-                for sample, (L, X) in zip(splits[name], want):
+                want = reference_samples(split[name], std, config, cols)
+                for sample, (L, X) in zip(samples[name], want):
                     assert_same_arrays(sample.laplacian, L)
                     assert_same_arrays(sample.features, X)
 

@@ -500,6 +500,28 @@ class TestTrain:
         # so the recorded accuracy is what evaluate reports for the model
         assert evaluate(m, splits["val"])[0] == hist.val_accuracy[hist.best_epoch]
 
+    def test_stops_when_validation_loss_stays_flat(self, monkeypatch):
+        # a scripted validation loss improves for 3 epochs and then stays flat
+        rng = np.random.default_rng(500)
+        samples = make_samples(rng, 8, d=2)
+        splits = {"train": samples[:6], "val": samples[6:]}
+        model = build_model(2, (3,), order=2, dropout_rate=0.0, seed=1)
+        seen = []  # the parameters of each epoch, when its validation loss is taken
+
+        def scripted_metrics(m, split, stacks):
+            if split[0] is not splits["val"][0]:
+                return 1.0, 0.5
+            seen.append([p.copy() for p in m.parameters()])
+            return (3.0, 2.0, 1.0)[min(len(seen), 3) - 1], 0.5
+
+        monkeypatch.setattr(nn, "_split_metrics", scripted_metrics)
+        m, hist = train(model, splits, TrainConfig(epochs=100, seed=0, batch_size=3))
+        assert len(hist) == len(seen) == 3 + nn._EARLY_STOP_PATIENCE
+        assert hist.best_epoch == 2
+        for got, want in zip(m.parameters(), seen[2]):
+            assert np.array_equal(got, want)
+        assert not all(np.array_equal(a, b) for a, b in zip(seen[2], seen[-1]))
+
     def test_diverged_loss_raises(self):
         rng = np.random.default_rng(400)
         samples = make_samples(rng, 6, d=2)

@@ -90,6 +90,16 @@ def test_settings_a_caller_can_pass_are_pinned():
     assert list(inspect.signature(data.prepare_inference_samples).parameters) == [
         "groups", "standardizer", "graph_config",
     ]
+    # a split is split_dataset's {"train", "val", "test"} group lists, not dataset state
+    assert [f.name for f in dataclasses.fields(data.Dataset)] == ["groups"]
+    assert list(inspect.signature(data.split_dataset).parameters) == ["dataset", "ratios", "seed"]
+    assert list(inspect.signature(data.split_graphs).parameters) == ["splits", "graph_config"]
+    assert list(inspect.signature(data.training_samples).parameters) == [
+        "splits", "graphs", "feature_mask",
+    ]
+    assert list(inspect.signature(data.prepare_training_samples).parameters) == [
+        "splits", "graph_config", "feature_mask",
+    ]
 
 
 def test_command_options_are_pinned():
