@@ -34,7 +34,7 @@ from .data import (
     split_graphs,
     training_samples,
 )
-from .errors import CheckpointError, DataError, NumericError, SpectralPatternError
+from .errors import CheckpointError, DataError, EmptySplit, NumericError, SpectralPatternError
 from .geometry import FEATURE_NAMES
 from .graph import GraphConfig
 from .nn import (
@@ -184,22 +184,20 @@ def _restore(checkpoint_path):
             std=np.array(stats["std"], dtype=float),
         )
         config = GraphConfig(**extra["graph"])
+        # eval scores and predict names classes in the data's label order
         labels = extra.get("labels", list(LABELS))
-        if not (
-            isinstance(labels, list)
-            and len(labels) == model.n_classes
-            and all(isinstance(lab, str) and lab for lab in labels)
-            and len(set(labels)) == len(labels)
-        ):
-            raise ValueError(
-                f"labels must be {model.n_classes} distinct non-empty strings, got {labels!r}"
-            )
+        if labels != list(LABELS):
+            raise ValueError(f"labels must be {list(LABELS)!r}, got {labels!r}")
+    if model.n_classes != len(LABELS):
+        raise CheckpointError(
+            f"checkpoint model has {model.n_classes} classes, the data has {len(LABELS)}"
+        )
     if not (std.mean.shape[0] == len(FEATURE_NAMES) == model.feature_dim):
         raise CheckpointError(
             f"checkpoint standardizer has {std.mean.shape[0]} features and the model expects "
             f"{model.feature_dim}, but inference gives every group's {len(FEATURE_NAMES)}"
         )
-    return model, extra, std, config, labels
+    return model, extra, std, config
 
 
 def _write_history_csv(history, path) -> None:
@@ -244,32 +242,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, extra, std, config, labels = _restore(args.checkpoint)
+    model, extra, std, config = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
     with _checkpoint_settings():
         splits = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
+    if not splits[args.split]:
+        raise EmptySplit(f"the {args.split} split of {args.data} is empty")
     samples = prepare_inference_samples(splits[args.split], std, config)
     accuracy, confusion = evaluate(model, samples)
     print(f"{args.split} accuracy: {accuracy:.4f} ({len(samples)} groups)")
     print("confusion (rows = true, cols = predicted):")
-    width = max(len(l) for l in labels)
-    for i, lab in enumerate(labels):
+    width = max(len(l) for l in LABELS)
+    for i, lab in enumerate(LABELS):
         counts = "  ".join(f"{int(c):5d}" for c in confusion[i])
         print(f"  {lab.rjust(width)}  {counts}")
     return _EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    model, _, std, config, labels = _restore(args.checkpoint)
+    model, _, std, config = _restore(args.checkpoint)
     dataset = load_dataset(args.data)
     samples = prepare_inference_samples(dataset.groups, std, config)
     lines = []
     for sample, probs in zip(samples, _inference_probs(model, samples)):
         obj = {
             "id": sample.sample_id,
-            "probabilities": {lab: float(p) for lab, p in zip(labels, probs)},
-            "prediction": labels[int(np.argmax(probs))],
+            "probabilities": {lab: float(p) for lab, p in zip(LABELS, probs)},
+            "prediction": LABELS[int(np.argmax(probs))],
         }
         lines.append(json.dumps(obj))
     text = "".join(line + "\n" for line in lines)

@@ -171,8 +171,11 @@ class GcnnModel:
     def forward(self, L, X, training=False, rng=None, retain=False) -> np.ndarray:
         """Class probabilities of one graph, L (n, n) and X (n, c), or
         (B, n_classes) of a stack of graphs of one size, L (B, n, n) and
-        X (B, n, c); each row equals its graph's own bit for bit.  One
-        graph's tape can be retained for backward."""
+        X (B, n, c); each row equals its graph's own bit for bit.  Every
+        pass of the network runs here.  Dropout is on when `training`, drawn
+        from `rng`.  `retain` keeps one graph's tape for backward: each conv
+        layer's pair from `_conv_stack`, then (last activation, dropout mask
+        or None, dense input, probabilities)."""
         Lv = matrix_of(L)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         _check_graph(self, Lv, X)
@@ -184,9 +187,20 @@ class GcnnModel:
             raise ValueError("training-mode forward with dropout needs an rng")
 
         tape = [] if retain else None
-        P = _power_stack(Lv, X, self.conv_layers[0].order)
-        probs = _probs(self, Lv, P, rng, tape)
+        H = _conv_stack(self.conv_layers, Lv, X, tape)
+        pooled = np.add.reduce(H, axis=-2) / H.shape[-2]
+        mask = None
+        dropped = pooled
+        if rng is not None:
+            keep = rng.random(pooled.shape) >= self.dropout_rate
+            mask = keep.astype(float) / (1.0 - self.dropout_rate)
+            dropped = pooled * mask
+        # each graph's vector as a (1, c) row: a (B, c) block would run a matrix
+        # product, which rounds unlike one graph's vector-matrix product
+        logits = (dropped[..., None, :] @ self.dense.weights)[..., 0, :]
+        probs = _softmax(logits + self.dense.bias)
         if retain:
+            tape.append((H, mask, dropped, probs))
             self._retained = (Lv, X, tape)
         return probs
 
@@ -204,18 +218,18 @@ def _power_stack(L, H, K) -> np.ndarray:
     return np.concatenate(powers, axis=-1)
 
 
-def _conv_stack(layers, L, P, tape=None) -> np.ndarray:
-    """Runs conv layers from `P`, the first layer's `_power_stack` of its input.
+def _conv_stack(layers, L, H, tape=None) -> np.ndarray:
+    """Runs conv layers on the signal `H`, one graph's (n, c) or a stack's
+    (B, n, c).
 
-    With the powers side by side, one product with theta reshaped to
-    (K*c_in, c_out) applies every coefficient of a layer; then bias and
-    ReLU.  When `tape` is a list, each layer's (power stack,
+    Each layer puts its input's `_power_stack` side by side, so one product
+    with theta reshaped to (K*c_in, c_out) applies every coefficient; then
+    bias and ReLU.  When `tape` is a list, each layer's (power stack,
     pre-activation) pair is appended to it for backward.
     """
-    for i, layer in enumerate(layers):
+    for layer in layers:
         K, c_in, c_out = layer.theta.shape
-        if i:
-            P = _power_stack(L, H, K)
+        P = _power_stack(L, H, K)
         Z = P @ layer.theta.reshape(K * c_in, c_out) + layer.bias
         if tape is not None:
             tape.append((P, Z))
@@ -234,7 +248,7 @@ def conv_layer_forward(layer: GraphConvLayer, L, X, activation="relu") -> np.nda
     if X.shape[0] != Lv.shape[0]:
         raise DimensionMismatch(f"signal has {X.shape[0]} vertices, operator has {Lv.shape[0]}")
     tape = []
-    Y = _conv_stack([layer], Lv, _power_stack(Lv, X, layer.order), tape)
+    Y = _conv_stack([layer], Lv, X, tape)
     return Y if activation == "relu" else tape[0][1]
 
 
@@ -253,32 +267,6 @@ def _check_graph(model: GcnnModel, L, X, sample_id=None, stack_ok=True) -> None:
     else:
         return
     raise DimensionMismatch(problem if sample_id is None else f"sample {sample_id!r}: {problem}")
-
-
-def _probs(model: GcnnModel, L, P, rng=None, tape=None) -> np.ndarray:
-    """Class probabilities of one graph, or of each graph of an equal-size
-    stack when the arguments carry a leading batch axis.
-
-    `P` is the first layer's `_power_stack`.  Dropout is on when `rng` is
-    given.  When `tape` is a list, it receives each conv layer's pair from
-    `_conv_stack`, then (last activation, dropout mask or None, dense input,
-    probabilities).
-    """
-    H = _conv_stack(model.conv_layers, L, P, tape)
-    pooled = np.add.reduce(H, axis=-2) / H.shape[-2]
-    mask = None
-    dropped = pooled
-    if rng is not None:
-        keep = rng.random(pooled.shape) >= model.dropout_rate
-        mask = keep.astype(float) / (1.0 - model.dropout_rate)
-        dropped = pooled * mask
-    # each graph's vector as a (1, c) row: a (B, c) block would run a matrix
-    # product, which rounds unlike one graph's vector-matrix product
-    logits = (dropped[..., None, :] @ model.dense.weights)[..., 0, :]
-    probs = _softmax(logits + model.dense.bias)
-    if tape is not None:
-        tape.append((H, mask, dropped, probs))
-    return probs
 
 
 def _softmax(logits) -> np.ndarray:
@@ -526,20 +514,13 @@ def _labels(samples: Sequence[GraphSample], n_classes: int) -> np.ndarray:
     return labels
 
 
-def _first_layer_stacks(model: GcnnModel, samples) -> list:
-    """(rows, L, first-layer power stack) of each of the samples' `_stacks`:
-    all the metrics pass needs that no parameter changes."""
-    K = model.conv_layers[0].order
-    return [(rows, L, _power_stack(L, X, K)) for rows, L, X in _stacks(model, samples)]
-
-
 def _split_metrics(model: GcnnModel, samples, stacks) -> tuple[float, float]:
-    """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off;
-    `stacks` are `_first_layer_stacks(model, samples)`."""
+    """(mean cross-entropy plus the L2 penalty, accuracy) with dropout off:
+    `forward` on `stacks`, the samples' `_stacks` kept as a list."""
     labels = _labels(samples, model.n_classes)
     probs = np.empty((len(samples), model.n_classes))
-    for rows, L, P in stacks:
-        probs[rows] = _probs(model, L, P)
+    for rows, L, X in stacks:
+        probs[rows] = model.forward(L, X)
     p_true = np.clip(probs[np.arange(len(samples)), labels], _PROB_FLOOR, 1.0)
     loss = -float(np.mean(np.log(p_true))) + model.l2_lambda * model.penalty_weight_squares()
     return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
@@ -561,8 +542,8 @@ def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config:
         raise EmptySplit("validation split is empty")
 
     # stacked once: the metrics pass of every epoch reuses them
-    train_stacks = _first_layer_stacks(model, train_set)
-    val_stacks = _first_layer_stacks(model, val_set)
+    train_stacks = list(_stacks(model, train_set))
+    val_stacks = list(_stacks(model, val_set))
     rng = np.random.default_rng(config.seed)
     state = optimizer_init(model.parameters(), config)
     history = TrainHistory()

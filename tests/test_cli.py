@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from spectral_pattern import cli
 from spectral_pattern.cli import ExperimentReport, main
@@ -15,7 +22,14 @@ from spectral_pattern.data import (
 )
 from spectral_pattern.errors import DivergedLoss
 from spectral_pattern.graph import GraphConfig
-from spectral_pattern.nn import _checksum, build_model, load_checkpoint, save_checkpoint
+from spectral_pattern.nn import (
+    DenseLayer,
+    GcnnModel,
+    _checksum,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from spectral_pattern.geometry import FEATURE_NAMES
 
 from conftest import rect_ring, triangle_centres
@@ -33,6 +47,12 @@ def run(*argv):
 
 
 FAST = ("--epochs", "8", "--batch", "4", "--channels", "6", "--layers", "2")
+
+
+def with_classes(model, classes):
+    """`model` with its dense head cut or widened to `classes` outputs."""
+    weights = np.resize(model.dense.weights.T, (classes, model.dense.c_in)).T
+    return GcnnModel(model.conv_layers, DenseLayer(weights, np.zeros(classes)))
 
 
 class TestParsing:
@@ -358,6 +378,15 @@ class TestExitCodes:
             f"numeric error: sample {first.group_id!r}: probabilities are not finite\n")
         assert not out.exists()
 
+    def test_empty_eval_split_is_3_and_named(self, tmp_path, capsys):
+        # three groups of each class leave the test split empty at 0.6/0.2/0.2
+        data, ckpt = tmp_path / "six.ndjson", tmp_path / "six.json"
+        save_dataset(generate_synthetic_dataset(n_groups=6, size_range=(3, 5), seed=1), data)
+        assert run("train", "--data", data, "--checkpoint", ckpt, "--epochs", "1") == 0
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--data", data, "--split", "test") == 3
+        assert capsys.readouterr().err == f"data error: the test split of {data} is empty\n"
+
     def test_checkpoint_with_bad_split_ratios_is_3(self, data_path, artifacts, tmp_path, capsys):
         model, settings = load_checkpoint(artifacts["ckpt"])
         settings["split"]["ratios"] = [0.5, 0.5]
@@ -369,13 +398,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize(
         "labels",
-        [["regular"], None, "ri", ["regular", "regular"], ["regular", ""], ["regular", 1]],
-        ids=["one", "null", "string", "repeated", "empty", "number"],
+        [
+            ["regular"], None, "ri", ["regular", "regular"], ["regular", ""], ["regular", 1],
+            ["irregular", "regular"], ["regular", "random"], ["regular", "irregular", "mixed"],
+        ],
+        ids=[
+            "one", "null", "string", "repeated", "empty", "number",
+            "swapped", "renamed", "three classes",
+        ],
     )
     def test_checkpoint_with_bad_labels_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, labels
     ):
+        # eval scores and predict names classes in the data's label order, so
+        # a checkpoint that names them otherwise would mislabel every group
         model, settings = load_checkpoint(artifacts["ckpt"])
+        if isinstance(labels, list) and len(labels) == 3:
+            model = with_classes(model, 3)
         settings["labels"] = labels
         ckpt = tmp_path / "bad-labels.json"
         save_checkpoint(ckpt, model, settings)
@@ -383,6 +422,22 @@ class TestExitCodes:
         argv = ["--out", out] if command == "predict" else []
         assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
         assert "data error: checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_checkpoint_model_with_other_class_count_is_3(
+        self, data_path, artifacts, tmp_path, capsys, command, classes
+    ):
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        del settings["labels"]  # a missing list stands for the data's labels
+        ckpt = tmp_path / "classes.json"
+        save_checkpoint(ckpt, with_classes(model, classes), settings)
+        out = tmp_path / "out.ndjson"
+        argv = ["--out", out] if command == "predict" else []
+        assert run(command, "--checkpoint", ckpt, "--data", data_path, *argv) == 3
+        err = capsys.readouterr().err
+        assert f"data error: checkpoint model has {classes} classes, the data has 2" in err
         assert not out.exists()
 
     def test_coincident_centroids_name_the_group_and_are_3(self, artifacts, tmp_path, capsys):
@@ -671,3 +726,183 @@ class TestReports:
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == 5
         assert all(line.split(",")[1] == "4" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input: mutated lines of a valid corpus through every reading command
+
+
+def _intact(group):
+    """Whether a group's buildings are still rings of number pairs, so that
+    a mutation can move them."""
+    buildings = group["buildings"]
+    return isinstance(buildings, list) and len(buildings) >= 2 and all(
+        isinstance(b, dict) and isinstance(b.get("ring"), list) and len(b["ring"]) >= 2
+        and all(isinstance(v, list) and len(v) == 2 and all(type(c) is float for c in v)
+                for v in b["ring"])
+        for b in buildings
+    )
+
+
+def _scale_ring(groups, i, r):
+    # about its first vertex; a factor of 0 collapses it to a point
+    b = r.choice(groups[i]["buildings"])
+    f = r.choice([0.0, 1e-300, 1e-12, 1e-3, -1.0, 1e3, 1e12, 1e300])
+    x0, y0 = b["ring"][0]
+    b["ring"] = [[x0 + f * (x - x0), y0 + f * (y - y0)] for x, y in b["ring"]]
+
+
+def _shift_ring(groups, i, r):
+    b = r.choice(groups[i]["buildings"])
+    dx, dy = r.choice([1e3, 7e6, -1e9, 1e15, 1e300]), r.choice([0.0, 1e-9, 5e6, -1e300])
+    b["ring"] = [[x + dx, y + dy] for x, y in b["ring"]]
+
+
+def _flatten_ring(groups, i, r):
+    # every vertex onto the line through the first two, or onto the first
+    b = r.choice(groups[i]["buildings"])
+    (x0, y0), (x1, y1) = b["ring"][:2]
+    ts = [r.uniform(-1.0, 2.0) for _ in b["ring"]] if r.random() < 0.5 else [0.0] * len(b["ring"])
+    b["ring"] = [[x0 + t * (x1 - x0), y0 + t * (y1 - y0)] for t in ts]
+
+
+def _coincident_centroids(groups, i, r):
+    a, b = r.sample(groups[i]["buildings"], 2)
+    b["ring"] = [list(v) for v in a["ring"]]
+
+
+def _collinear_centroids(groups, i, r):
+    # each building moved so that its vertex mean lies on one line
+    spacing, tilt = r.choice([40.0, 1e-3, 1e5]), r.choice([0.0, 1e-12, 0.5])
+    for k, b in enumerate(groups[i]["buildings"]):
+        cx, cy = (sum(c) / len(b["ring"]) for c in zip(*b["ring"]))
+        dx, dy = k * spacing - cx, k * spacing * tilt - cy
+        b["ring"] = [[x + dx, y + dy] for x, y in b["ring"]]
+
+
+def _move_group(groups, i, r):
+    # survey-scale offsets, and huge or tiny groups
+    f = r.choice([1.0, 1e-9, 1e-6, 1e6, 1e9])
+    dx, dy = r.choice([0.0, 5e5, 7e6, -1e12]), r.choice([0.0, 4e6, 1e15])
+    for b in groups[i]["buildings"]:
+        b["ring"] = [[f * x + dx, f * y + dy] for x, y in b["ring"]]
+
+
+_BAD_VALUES = {
+    "id": [None, 5, "", ["a"], {"a": 1}],
+    "label": ["other", 1, True, "", ["regular"]],
+    "buildings": [None, "abc", {}, [], [1, 2, 3], [{"ring": []}] * 3],
+}
+_BAD_RINGS = [
+    None, "ring", [], [[0.0, 0.0]], [[0.0, 0.0, 0.0]] * 4, [[0.0, "1"], [1.0, 0.0], [1.0, 1.0]],
+    [[True, 0.0], [1.0, 0.0], [1.0, 1.0]], [[math.nan, 0.0], [1.0, 0.0], [1.0, 1.0]],
+    [[math.inf, 0.0], [1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+]
+
+
+def _bad_type(groups, i, r):
+    group = groups[i]
+    where = r.choice(["id", "label", "buildings", "building", "ring", "vertex"])
+    if where in _BAD_VALUES:
+        group[where] = r.choice(_BAD_VALUES[where])
+        return
+    k = r.randrange(len(group["buildings"]))
+    if where == "building":
+        group["buildings"][k] = r.choice([3, [], {}, {"ring": None, "x": 1}])
+    elif where == "ring":
+        group["buildings"][k]["ring"] = r.choice(_BAD_RINGS)
+    else:
+        group["buildings"][k]["ring"][0] = r.choice([[1.0], "xy", None, [1.0, [2.0]], [1e309, 0.0]])
+
+
+def _repeated_id(groups, i, r):
+    groups[i]["id"] = r.choice(groups)["id"]
+
+
+def _drop_labels(groups, i, r):
+    # group i's class keeps only a few labels, so a split may lack it
+    label, keep = groups[i].get("label"), r.choice([0, 1, 2, 3])
+    for group in groups:
+        if group.get("label") == label:
+            if keep:
+                keep -= 1
+            else:
+                group.pop("label", None)
+
+
+def _invalid_utf8(line, r):
+    at = r.randrange(len(line) + 1)
+    return line[:at] + r.choice([b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\xe2\x82"]) + line[at:]
+
+
+def _deep_nesting(line, r):
+    depth = r.choice([10, 2_000, 100_000])
+    if r.random() < 0.5:
+        return b"[" * depth + b"]" * depth
+    return line[:-1] + b', "extra": ' + b"[" * depth + b"]" * depth + b"}"
+
+
+def _truncated(line, r):
+    return line[: r.randint(0, max(len(line) - 1, 0))]
+
+
+GROUP_MUTATIONS = {f.__name__: f for f in (
+    _scale_ring, _shift_ring, _flatten_ring, _coincident_centroids, _collinear_centroids,
+    _move_group, _bad_type, _repeated_id, _drop_labels,
+)}
+LINE_MUTATIONS = {f.__name__: f for f in (_invalid_utf8, _deep_nesting, _truncated)}
+
+# what an exit-3 message must name: a line, a group, a class or split, or
+# that no group has a label
+NAMED = re.compile(r"line \d+|group '|class '|(training|validation|train|val|test) split|no labeled groups")
+
+
+class TestFuzzedInput:
+    """Mutated lines of a valid corpus through `predict`, `eval` and `train`,
+    run in-process: each exits 0, 2, 3 or 4 without a traceback, and an exit
+    3 names where the fault is."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, data_path, artifacts):
+        groups = [json.loads(line) for line in data_path.read_text().splitlines()]
+        return groups, artifacts["ckpt"], artifacts["tmp"] / "fuzz"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(GROUP_MUTATIONS) + sorted(LINE_MUTATIONS)),
+                st.integers(0, 11),  # a line of the 12-group corpus
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_no_traceback_and_a_documented_exit(self, corpus, mutations, r):
+        groups, ckpt, tmp = corpus
+        groups = copy.deepcopy(groups)
+        for name, i in mutations:
+            if name in GROUP_MUTATIONS and _intact(groups[i]):
+                GROUP_MUTATIONS[name](groups, i, r)
+        lines = [json.dumps(g).encode() for g in groups]
+        for name, i in mutations:
+            if name in LINE_MUTATIONS:
+                lines[i] = LINE_MUTATIONS[name](lines[i], r)
+        tmp.mkdir(exist_ok=True)
+        data = tmp / "mutated.ndjson"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        for argv in (
+            ["predict", "--checkpoint", ckpt, "--data", data, "--out", tmp / "pred.ndjson"],
+            ["eval", "--checkpoint", ckpt, "--data", data, "--split", r.choice(["train", "val", "test"])],
+            ["train", "--data", data, "--checkpoint", tmp / "m.json", "--epochs", "1",
+             "--batch", "4", "--channels", "2", "--layers", "1", "--k", "2"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(*argv)
+            note(f"{argv[0]}: exit {code}: {err.getvalue()}")
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if code == 3:
+                assert NAMED.search(err.getvalue()), err.getvalue()

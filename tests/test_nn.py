@@ -36,11 +36,10 @@ from spectral_pattern.nn import (
 import spectral_pattern.nn as nn
 from spectral_pattern.nn import (
     _conv_stack,
-    _first_layer_stacks,
     _inference_probs,
-    _power_stack,
     _softmax,
     _split_metrics,
+    _stacks,
 )
 from spectral_pattern.spectral import PolynomialKernel, polynomial_convolve
 
@@ -494,7 +493,7 @@ class TestTrain:
         m, hist = train(model, splits, TrainConfig(epochs=12, seed=0, batch_size=4))
         assert hist.best_epoch >= 0
         # fresh stacks here, the ones train built once there: equal bit for bit
-        loss, acc = _split_metrics(m, splits["val"], _first_layer_stacks(m, splits["val"]))
+        loss, acc = _split_metrics(m, splits["val"], list(_stacks(m, splits["val"])))
         assert loss == hist.val_loss[hist.best_epoch]
         assert acc == hist.val_accuracy[hist.best_epoch]
         # so the recorded accuracy is what evaluate reports for the model
@@ -529,6 +528,30 @@ class TestTrain:
         cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, epochs=60, batch_size=6, seed=0)
         with pytest.raises(DivergedLoss):
             train(model, {"train": samples, "val": samples}, cfg)
+
+    def test_every_pass_runs_forward(self, rng, monkeypatch):
+        # training steps, the metrics pass and evaluate all enter the network
+        # through forward: one call per training sample, one per stack
+        samples = make_samples(rng, 20, n_range=(4, 9))
+        splits = {"train": samples[:14], "val": samples[14:]}
+        sizes = {name: {s.features.shape[0] for s in split} for name, split in splits.items()}
+        assert len(sizes["train"]) > 1 and len(sizes["val"]) > 1
+        calls = {True: 0, False: 0}
+        original = GcnnModel.forward
+
+        def counted(self, L, X, training=False, rng=None, retain=False):
+            calls[training] += 1
+            return original(self, L, X, training=training, rng=rng, retain=retain)
+
+        monkeypatch.setattr(GcnnModel, "forward", counted)
+        model = tiny_model(rng, dropout=0.3)
+        _, hist = train(model, splits, TrainConfig(epochs=3, batch_size=4, seed=0))
+        assert len(hist) == 3
+        assert calls == {True: 14 * 3, False: (len(sizes["train"]) + len(sizes["val"])) * 3}
+
+        calls[False] = 0
+        evaluate(model, samples)
+        assert calls == {True: 14 * 3, False: len(sizes["train"] | sizes["val"])}
 
 
 class TestEvaluate:
@@ -575,7 +598,7 @@ def per_graph_probs(model, samples):
 
 
 def conv_stack(model, L, X):
-    return _conv_stack(model.conv_layers, L, _power_stack(L, X, model.conv_layers[0].order))
+    return _conv_stack(model.conv_layers, L, X)
 
 
 class TestBatchedInference:
@@ -601,7 +624,7 @@ class TestBatchedInference:
         probs = per_graph_probs(model, samples)
         assert np.array_equal(_inference_probs(model, samples), probs)
 
-        loss, acc = _split_metrics(model, samples, _first_layer_stacks(model, samples))
+        loss, acc = _split_metrics(model, samples, list(_stacks(model, samples)))
         assert (loss, acc) == reference_split_metrics(model, samples, probs)
         want_loss, want_acc = per_sample_metrics(model, samples)
         assert abs(loss - want_loss) <= 1e-12
@@ -652,7 +675,7 @@ class TestBatchedInference:
         # optimizer step
         samples = self.mixed(rng, 21)
         model = self.model(rng, l2=1e-3)
-        stacks = _first_layer_stacks(model, samples)
+        stacks = list(_stacks(model, samples))
         kept = [[np.copy(a) for a in stack] for stack in stacks]
         before = _split_metrics(model, samples, stacks)
 
@@ -766,17 +789,17 @@ class TestGraphShapes:
 
 
 # ---------------------------------------------------------------------------
-# The single-graph head as it stood before forward and the batched pass
-# shared `_probs`: mean pooling, inverted dropout, then
-# softmax(W.T h + b) on the one pooled vector.  Forward, backward, stacked
-# inference and training must equal it bit for bit.
+# The single-graph head as it stood before `forward` ran stacks of graphs:
+# mean pooling, inverted dropout, then softmax(W.T h + b) on the one pooled
+# vector.  Forward, backward, stacked inference and training must equal it
+# bit for bit.
 
 
 def reference_forward(model, L, X, training=False, rng=None):
     L = np.asarray(L, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     tape = []
-    act = _conv_stack(model.conv_layers, L, _power_stack(L, X, model.conv_layers[0].order), tape)
+    act = _conv_stack(model.conv_layers, L, X, tape)
     pooled = np.add.reduce(act, axis=0) / act.shape[0]
     mask = None
     dropped = pooled

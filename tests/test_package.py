@@ -83,6 +83,8 @@ def test_settings_a_caller_can_pass_are_pinned():
     assert list(inspect.signature(nn.GcnnModel.__init__).parameters) == [
         "self", "conv_layers", "dense", "dropout_rate", "l2_lambda",
     ]
+    # GcnnModel.forward is the network's one routine
+    assert not hasattr(nn, "_probs") and not hasattr(nn, "_first_layer_stacks")
     assert list(inspect.signature(data.generate_synthetic_dataset).parameters) == [
         "n_groups", "size_range", "seed",
     ]
