@@ -105,14 +105,16 @@ _TRAIN_FLAGS = (
 )
 
 
-def _runs(args, variants):
+def _runs(args, variants, tested=False):
     """Trains one model per (name, K, feature mask) variant on the split and
     graphs the flags ask for; yields (model, history, samples, standardizer,
     graph config, seconds) per variant, in order.
 
     Every model and the TrainConfig are made before any graph is built, so a
-    bad flag fails at once.  The graphs are built once, since neither K nor
-    a mask changes them.  A failure is prefixed with its variant's name, if any.
+    bad flag fails at once.  A caller that scores each model on the test
+    split sets `tested`, so an empty test split fails before any training.
+    The graphs are built once, since neither K nor a mask changes them.  A
+    failure is prefixed with its variant's name, if any.
     """
     groups = split_dataset(load_dataset(args.data), _parse_ratios(args.split), args.seed)
     config = GraphConfig(
@@ -136,6 +138,8 @@ def _runs(args, variants):
         seed=args.seed,
         optimizer=args.optimizer,
     )
+    if tested and not groups["test"]:
+        raise EmptySplit(f"the test split of {args.data} is empty")
     graphs = split_graphs(groups, config)
     for (name, _, mask), model in zip(variants, models):
         start = time.perf_counter()
@@ -153,7 +157,6 @@ def _checkpoint_extra(args, config: GraphConfig, standardizer) -> dict:
     return {
         "labels": list(LABELS),
         "feature_names": list(FEATURE_NAMES),
-        "feature_mask": None,  # inference takes every column; kept for readers of the format
         "graph": asdict(config),
         "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
         "standardizer": {
@@ -183,7 +186,12 @@ def _restore(checkpoint_path):
             mean=np.array(stats["mean"], dtype=float),
             std=np.array(stats["std"], dtype=float),
         )
-        config = GraphConfig(**extra["graph"])
+        graph = {**extra["graph"]}
+        # older checkpoints carry "scaled": true; the network reads only the scaled Laplacian
+        scaled = graph.pop("scaled", True)
+        if scaled is not True:
+            raise ValueError(f"graph scaled must be true, got {scaled!r}")
+        config = GraphConfig(**graph)
         # eval scores and predict names classes in the data's label order
         labels = extra.get("labels", list(LABELS))
         if labels != list(LABELS):
@@ -310,7 +318,7 @@ def cmd_ablate_features(args) -> int:
                  for i in range(len(FEATURE_NAMES))]
     rows = []
     variants = [(f"feature={name}", args.k, mask) for name, mask in zip(FEATURE_NAMES, masks)]
-    for name, mask, run in zip(FEATURE_NAMES, masks, _runs(args, variants)):
+    for name, mask, run in zip(FEATURE_NAMES, masks, _runs(args, variants, tested=True)):
         model, history, splits, _, _, seconds = run
         test_acc, _ = evaluate(model, splits["test"])
         rows.append((name, len(mask), f"{history.val_accuracy[history.best_epoch]:.4f}",

@@ -473,7 +473,7 @@ def _graphs(groups: Sequence[BuildingGroup], config: GraphConfig) -> list[tuple[
     out = [None] * len(groups)
     try:
         for index, W, F in graph_stacks([group.buildings for group in groups], config):
-            L = laplacian(W, kind=config.laplacian, scaled=config.scaled).values
+            L = laplacian(W, kind=config.laplacian).values
             for k, i in enumerate(index.tolist()):
                 out[i] = F[k], L[k]
     except GraphError as exc:

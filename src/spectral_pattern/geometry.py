@@ -210,17 +210,24 @@ def _stack(rings, idx: list[int], n: int, stacks: dict) -> list[int]:
 
 def _collinear(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per column, whether every point lies within 1e-12 * scale^2 (cross
-    product) of the line through the first two; scale is the largest
-    coordinate offset from the first point."""
-    ox, oy = X[0], Y[0]
-    scale = np.maximum(np.abs(X - ox), np.abs(Y - oy)).max(axis=0)
+    product) of the line through o, the column's lexicographically smallest
+    point, and e, the point of largest max-norm offset from o (the first in
+    sorted order on a tie); scale is that offset.  The verdict depends on
+    the point set, not on its order."""
+    order = np.lexsort((Y, X), axis=0)
+    X, Y = np.take_along_axis(X, order, axis=0), np.take_along_axis(Y, order, axis=0)
+    DX, DY = X - X[0], Y - Y[0]
+    offset = np.maximum(np.abs(DX), np.abs(DY))
+    far, cols = offset.argmax(axis=0), np.arange(X.shape[1])
+    scale = offset[far, cols]
     scale = np.where(scale == 0, 1.0, scale)
-    ex, ey = X[1] - ox, Y[1] - oy
-    return (np.abs(ex * (Y[2:] - oy) - ey * (X[2:] - ox)) <= 1e-12 * scale * scale).all(axis=0)
+    ex, ey = DX[far, cols], DY[far, cols]
+    return (np.abs(ex * DY - ey * DX) <= 1e-12 * scale * scale).all(axis=0)
 
 
 def _all_collinear(pts: Sequence[tuple[float, float]]) -> bool:
-    return bool(_collinear(*np.array(pts, dtype=float).T))
+    xy = np.array(pts, dtype=float)
+    return bool(_collinear(xy[:, :1], xy[:, 1:])[0])
 
 
 def _on_segment(px, py, qx, qy, rx, ry):

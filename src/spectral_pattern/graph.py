@@ -48,14 +48,13 @@ class GraphConfig:
     structure: "dt" (Delaunay) or "mst" (minimum spanning tree of the DT).
     weighting: "binary" (1 per edge), "invdist" (1/d), or "gaussian"
         (exp(-d^2 / 2 sigma^2) with sigma = mean DT edge length).
-    laplacian: "comb" (D - W) or "sym" (I - D^-1/2 W D^-1/2).
-    scaled: map the spectrum into [-1, 1] for stable filter powers.
+    laplacian: "comb" (D - W) or "sym" (I - D^-1/2 W D^-1/2); the network
+        always reads it with its spectrum mapped into [-1, 1].
     """
 
     structure: str = "dt"
     weighting: str = "binary"
     laplacian: str = "sym"
-    scaled: bool = True
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -64,8 +63,6 @@ class GraphConfig:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
         if self.laplacian not in LAPLACIAN_KINDS:
             raise ValueError(f"laplacian must be one of {LAPLACIAN_KINDS}, got {self.laplacian!r}")
-        if not isinstance(self.scaled, bool):
-            raise ValueError(f"scaled must be a bool, got {self.scaled!r}")
 
 
 @dataclass(frozen=True, eq=False)

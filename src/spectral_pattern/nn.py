@@ -619,7 +619,7 @@ def predict(model: GcnnModel, g: SpatialGraph, config: GraphConfig | None = None
     """
     if config is None:
         config = GraphConfig()
-    L = laplacian(g, kind=config.laplacian, scaled=config.scaled)
+    L = laplacian(g, kind=config.laplacian)
     probs = model.forward(L, g.features, training=False)
     return probs, int(np.argmax(probs))
 

@@ -21,6 +21,15 @@ import numpy as np
 import pytest
 
 
+# a clockwise near-line ring that is accepted, and that `Polygon` stores
+# reversed: a collinearity test that reads the vertices in order can refuse
+# the stored ring
+NEAR_LINE_RING = [
+    (35.256314649326825, 23.009202756371575), (23.06324346028213, 15.051682238196816),
+    (7.6260603494919605, 4.976968539012335), (9.66823081473358, 6.309742958749768),
+]
+
+
 def regular_ngon(n, radius=1.0, cx=0.0, cy=0.0, phase=0.0):
     """Vertex list of a regular n-gon, counter-clockwise."""
     return [

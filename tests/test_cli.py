@@ -115,10 +115,8 @@ class TestTrainEvalPredict:
         assert extra["labels"] == ["regular", "irregular"]
         assert extra["split"] == {"ratios": [0.6, 0.2, 0.2], "seed": 3}
         assert len(extra["standardizer"]["mean"]) == 5
-        assert extra["feature_mask"] is None
-        assert extra["graph"] == {
-            "structure": "dt", "weighting": "binary", "laplacian": "sym", "scaled": True,
-        }
+        assert "feature_mask" not in extra
+        assert extra["graph"] == {"structure": "dt", "weighting": "binary", "laplacian": "sym"}
         assert extra["train"] == {
             "k": 3, "layers": 2, "channels": 6, "lr": 1e-3, "epochs": 8, "batch": 4,
             "dropout": 0.5, "l2": 5e-4, "optimizer": "adam", "seed": 3,
@@ -269,7 +267,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    @pytest.mark.parametrize("extra", ["none", "short standardizer", "masked"])
+    @pytest.mark.parametrize(
+        "extra", ["none", "short standardizer", "masked", "graph list", "graph null",
+                  "graph unknown key"],
+    )
     def test_checkpoint_without_usable_settings_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, extra
     ):
@@ -282,10 +283,13 @@ class TestExitCodes:
             settings = None
         elif extra == "short standardizer":
             stats["mean"], stats["std"] = stats["mean"][:-1], stats["std"][:-1]
-        else:
+        elif extra == "masked":
             settings["feature_mask"] = ["area"]
             stats["mean"], stats["std"] = stats["mean"][:1], stats["std"][:1]
             model = build_model(1, (6, 6), order=3, seed=3)
+        else:
+            settings["graph"] = {"graph list": [], "graph null": None,
+                                 "graph unknown key": {"structure": "dt", "kind": "sym"}}[extra]
         ckpt = tmp_path / "library.json"
         save_checkpoint(ckpt, model, settings)
         assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
@@ -338,16 +342,34 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    @pytest.mark.parametrize("scaled", [0, None, "no"], ids=["zero", "null", "string"])
+    @pytest.mark.parametrize(
+        "scaled", [0, None, "no", False], ids=["zero", "null", "string", "false"]
+    )
     def test_checkpoint_whose_scaled_is_not_a_bool_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, scaled
     ):
+        # older checkpoints carry "scaled": true, and nothing else stands for it
         model, settings = load_checkpoint(artifacts["ckpt"])
         settings["graph"]["scaled"] = scaled
         ckpt = tmp_path / "scaled.json"
         save_checkpoint(ckpt, model, settings)
         assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
-        assert f"scaled must be a bool, got {scaled!r}" in capsys.readouterr().err
+        assert f"graph scaled must be true, got {scaled!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_in_the_older_format_gives_the_same_output(
+        self, data_path, artifacts, tmp_path, capsys, command
+    ):
+        # the older format wrote "scaled": true in the graph block and a null feature_mask
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        older = {**settings, "feature_mask": None, "graph": {**settings["graph"], "scaled": True}}
+        ckpt = tmp_path / "older.json"
+        save_checkpoint(ckpt, model, older)
+        outputs = []
+        for path in (artifacts["ckpt"], ckpt):
+            assert run(command, "--checkpoint", path, "--data", data_path) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] != ""
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("where", ["dense-weights", "conv-thetas", "standardizer-mean"])
@@ -386,6 +408,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("eval", "--checkpoint", ckpt, "--data", data, "--split", "test") == 3
         assert capsys.readouterr().err == f"data error: the test split of {data} is empty\n"
+
+    def test_ablate_features_on_an_empty_test_split_is_3_before_any_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # six groups leave the test split empty at 0.6/0.2/0.2; sweep-k does not read it
+        data = tmp_path / "six.ndjson"
+        save_dataset(generate_synthetic_dataset(n_groups=6, size_range=(3, 5), seed=1), data)
+        trained = []
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda *a: trained.append(a) or real_train(*a))
+        flags = ("--epochs", "1", "--channels", "2", "--layers", "1")
+        assert run("ablate-features", "--data", data, *flags) == 3
+        assert capsys.readouterr().err == f"data error: the test split of {data} is empty\n"
+        assert trained == []
+        assert run("sweep-k", "--data", data, "--k-values", "1", *flags) == 0
+        capsys.readouterr()
+        assert len(trained) == 1
 
     def test_checkpoint_with_bad_split_ratios_is_3(self, data_path, artifacts, tmp_path, capsys):
         model, settings = load_checkpoint(artifacts["ckpt"])

@@ -53,7 +53,7 @@ from spectral_pattern.graph import (
     minimum_spanning_tree,
 )
 
-from conftest import rect_ring, triangle_centres
+from conftest import NEAR_LINE_RING, rect_ring, triangle_centres
 
 
 def tiny_buildings(offset=0.0):
@@ -118,7 +118,29 @@ class TestDatasetInvariants:
 # NDJSON I/O
 
 
+def assert_round_trip(ds, path):
+    """`load_dataset` reads back what `save_dataset` writes: ids, labels and
+    every building's xy, bit for bit."""
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert [(g.group_id, g.label) for g in back.groups] == [
+        (g.group_id, g.label) for g in ds.groups]
+    for a, b in zip(ds.groups, back.groups):
+        assert [p.xy.tobytes() for p in b.buildings] == [p.xy.tobytes() for p in a.buildings]
+
+
 class TestNdjsonIO:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**16), st.sampled_from([(3, 128), (20, 40)]), st.sampled_from([2, 4, 6]),
+    )
+    def test_save_then_load_is_the_dataset(self, tmp_path_factory, seed, sizes, n_groups):
+        ds = generate_synthetic_dataset(n_groups=n_groups, size_range=sizes, seed=seed)
+        # and a group whose clockwise near-line ring is saved as `Polygon` stores it, reversed
+        near_line = (Polygon(NEAR_LINE_RING), *tiny_buildings(offset=100.0))
+        ds.groups.append(BuildingGroup("near-line", near_line, "regular"))
+        assert_round_trip(ds, tmp_path_factory.mktemp("round-trip") / "ds.ndjson")
+
     def test_round_trip_exact(self, tmp_path):
         ds = generate_synthetic_dataset(n_groups=10, size_range=(3, 6), seed=5)
         path = tmp_path / "ds.ndjson"
@@ -729,8 +751,9 @@ def reference_graph(polys, config):
     return F, W
 
 
-def reference_laplacian(W, kind, scaled):
-    """`laplacian` of one weights matrix, as it was before it took stacks."""
+def reference_laplacian(W, kind):
+    """`laplacian` of one weights matrix, scaled as the network reads it,
+    as it was before it took stacks."""
     deg = W.sum(axis=1)
     if kind == "comb":
         L = np.diag(deg) - W
@@ -738,11 +761,9 @@ def reference_laplacian(W, kind, scaled):
         inv_sqrt = 1.0 / np.sqrt(deg)
         L = np.eye(W.shape[0]) - (inv_sqrt[:, None] * W * inv_sqrt[None, :])
     L = (L + L.T) / 2.0
-    if scaled:
-        d = np.diag(L)
-        lam_up = float(np.max(d + (np.sum(np.abs(L), axis=1) - np.abs(d))))
-        L = -np.eye(W.shape[0]) if lam_up <= 0 else (2.0 / lam_up) * L - np.eye(W.shape[0])
-    return L
+    d = np.diag(L)
+    lam_up = float(np.max(d + (np.sum(np.abs(L), axis=1) - np.abs(d))))
+    return -np.eye(W.shape[0]) if lam_up <= 0 else (2.0 / lam_up) * L - np.eye(W.shape[0])
 
 
 def reference_samples(groups, standardizer, config, cols):
@@ -756,7 +777,7 @@ def reference_samples(groups, standardizer, config, cols):
             raise CoincidentCentroids(f"group {group.group_id!r}: {exc}") from exc
         except GraphError as exc:
             raise DataError(f"group {group.group_id!r}: {exc}") from exc
-        out.append((reference_laplacian(W, config.laplacian, config.scaled),
+        out.append((reference_laplacian(W, config.laplacian),
                     standardizer.transform(F[:, cols])))
     return out
 

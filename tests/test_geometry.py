@@ -21,7 +21,7 @@ from spectral_pattern.geometry import (
 )
 from spectral_pattern.geometry import _hulls
 
-from conftest import rect_ring, regular_ngon
+from conftest import NEAR_LINE_RING, rect_ring, regular_ngon
 
 
 def reference_ring(ring):
@@ -65,10 +65,14 @@ def reference_ring(ring):
         pts = out
     if len(pts) < 3:
         raise DegeneratePolygon(f"ring has {len(pts)} distinct vertices, need 3")
-    ox, oy = pts[0]
-    scale = max(max(abs(x - ox), abs(y - oy)) for x, y in pts) or 1.0
-    ax, ay = pts[1]
-    if all(abs(cross(ox, oy, ax, ay, x, y)) <= 1e-12 * scale * scale for x, y in pts[2:]):
+    # the line through the lowest vertex and the vertex farthest from it in
+    # max-norm (the lowest such on a tie), with that distance as the scale
+    (ox, oy), *rest = ordered = sorted(pts)
+    offsets = [max(abs(x - ox), abs(y - oy)) for x, y in ordered]
+    scale = max(offsets)
+    ax, ay = ordered[offsets.index(scale)]
+    scale = scale or 1.0
+    if all(abs(cross(ox, oy, ax, ay, x, y)) <= 1e-12 * scale * scale for x, y in rest):
         raise DegeneratePolygon("all vertices collinear")
     n = len(pts)
     for i in range(n):
@@ -239,15 +243,10 @@ class TestPolygonConstruction:
         expected = construction_outcome(reference_polygon, ring)
         assert construction_outcome(lambda r: Polygon(r).ring, ring) == expected
 
-    @pytest.mark.xfail(strict=True, raises=DegeneratePolygon,
-                       reason="the collinearity tolerance is taken from vertex 0, "
-                              "and the stored ring is reversed")
     def test_a_stored_ring_builds_again(self):
-        # a near-line ring that is accepted; only building its stored ring may fail
-        ring = [(35.256314649326825, 23.009202756371575), (23.06324346028213, 15.051682238196816),
-                (7.6260603494919605, 4.976968539012335), (9.66823081473358, 6.309742958749768)]
+        # only building its stored ring may fail
         try:
-            p = Polygon(ring)
+            p = Polygon(NEAR_LINE_RING)
         except GeometryError as exc:
             pytest.fail(f"the ring itself is rejected, so no stored ring is tested: {exc}")
         assert Polygon(p.xy) == p
@@ -342,6 +341,34 @@ def batch_hull(points, others=()):
     stack = np.array([points, *others], dtype=float).transpose(2, 1, 0)
     HI, h = _hulls(stack[0], stack[1])
     return [tuple(map(float, points[i])) for i in HI[: h[0], 0]]
+
+
+@st.composite
+def near_line_sets(draw):
+    """3-11 points along a line of 1-1000 m, off it by up to 1e-13 to 1e-8
+    of its length, at an offset of 0, 1e6 or 7e6 m; and a permutation."""
+    n = draw(st.integers(3, 11))
+    length, ang = draw(st.floats(1.0, 1000.0)), draw(st.floats(0.0, 3.14))
+    off = draw(st.sampled_from([0.0, 1e6, 7e6]))
+    noise = length * 10.0 ** draw(st.floats(-13.0, -8.0))
+    ts = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    ds = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    c, s = math.cos(ang), math.sin(ang)
+    pts = [(off + t * length * c - d * noise * s, off + t * length * s + d * noise * c)
+           for t, d in zip(ts, ds)]
+    return pts, draw(st.permutations(pts))
+
+
+class TestCollinear:
+    @settings(max_examples=300, deadline=None)
+    @given(near_line_sets())
+    def test_verdict_does_not_depend_on_order(self, sets):
+        # rings (as columns) and centroids (one set) share the one rule
+        pts, shuffled = sets
+        verdict = geometry._all_collinear(pts)
+        assert geometry._all_collinear(shuffled) == verdict
+        X, Y = np.array([pts, shuffled]).transpose(2, 1, 0)
+        assert geometry._collinear(X, Y).tolist() == [verdict, verdict]
 
 
 class TestConvexHull:

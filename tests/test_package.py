@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import spectral_pattern
-from spectral_pattern import cli, data, nn
+from spectral_pattern import cli, data, graph, nn
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -101,6 +101,10 @@ def test_settings_a_caller_can_pass_are_pinned():
     ]
     assert list(inspect.signature(data.prepare_training_samples).parameters) == [
         "splits", "graph_config", "feature_mask",
+    ]
+    # the three graph flags; the network always reads the scaled Laplacian
+    assert [f.name for f in dataclasses.fields(graph.GraphConfig)] == [
+        "structure", "weighting", "laplacian",
     ]
 
 
