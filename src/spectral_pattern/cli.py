@@ -25,6 +25,7 @@ import numpy as np
 from .data import (
     LABELS,
     Standardizer,
+    _SPLIT_NAMES,
     _mask_indices,
     generate_synthetic_dataset,
     load_dataset,
@@ -36,8 +37,9 @@ from .data import (
 )
 from .errors import CheckpointError, DataError, EmptySplit, NumericError, SpectralPatternError
 from .geometry import FEATURE_NAMES
-from .graph import GraphConfig
+from .graph import LAPLACIAN_KINDS, STRUCTURES, WEIGHTINGS, GraphConfig
 from .nn import (
+    OPTIMIZERS,
     TrainConfig,
     _inference_probs,
     build_model,
@@ -196,6 +198,10 @@ def _restore(checkpoint_path):
         labels = extra.get("labels", list(LABELS))
         if labels != list(LABELS):
             raise ValueError(f"labels must be {list(LABELS)!r}, got {labels!r}")
+        # the standardizer's statistics and the model's inputs are in this order
+        names = extra.get("feature_names", list(FEATURE_NAMES))
+        if names != list(FEATURE_NAMES):
+            raise ValueError(f"feature_names must be {list(FEATURE_NAMES)!r}, got {names!r}")
     if model.n_classes != len(LABELS):
         raise CheckpointError(
             f"checkpoint model has {model.n_classes} classes, the data has {len(LABELS)}"
@@ -340,15 +346,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3, help="polynomial filter order (hop radius K-1)")
     p.add_argument("--layers", type=int, default=4, help="number of graph convolution layers")
     p.add_argument("--channels", type=int, default=24, help="channels per convolution layer")
-    p.add_argument("--structure", choices=("dt", "mst"), default="dt")
-    p.add_argument("--weighting", choices=("binary", "invdist", "gaussian"), default="binary")
-    p.add_argument("--laplacian", choices=("comb", "sym"), default="sym")
+    p.add_argument("--structure", choices=STRUCTURES, default="dt")
+    p.add_argument("--weighting", choices=WEIGHTINGS, default="binary")
+    p.add_argument("--laplacian", choices=LAPLACIAN_KINDS, default="sym")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=32, help="mini-batch size")
     p.add_argument("--dropout", type=float, default=0.5, help="dropout on the pooled embedding")
     p.add_argument("--l2", type=float, default=5e-4, help="L2 penalty on weights")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy and confusion matrix on a held-out split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="the dataset the model was trained on")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=_SPLIT_NAMES, default="test")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="per-group probabilities as NDJSON")
@@ -437,6 +443,9 @@ def main(argv=None) -> int:
         return _EXIT_NUMERIC
     except SpectralPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 
 

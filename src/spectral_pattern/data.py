@@ -303,14 +303,9 @@ _FILL_FACTOR = 0.2  # irregular packing density target
 _ORIENTATION_JITTER_REGULAR = 1.0  # degrees, applied per building
 
 
-def _rect_ring(cx, cy, length, width, angle_deg):
-    a = math.radians(angle_deg)
-    ca, sa = math.cos(a), math.sin(a)
-    pts = []
-    for sx, sy in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
-        u, v = sx * length / 2.0, sy * width / 2.0
-        pts.append((cx + u * ca - v * sa, cy + u * sa + v * ca))
-    return pts
+def _rect_ring(length, width):
+    l2, w2 = length / 2.0, width / 2.0
+    return [(-l2, -w2), (l2, -w2), (l2, w2), (-l2, w2)]
 
 
 def _l_shape_ring(length, width, fx, fy):
@@ -367,7 +362,7 @@ def _regular_group(rng, n):
         gy = (r - (rows - 1) / 2.0) * pitch + rng.uniform(-jit, jit)
         cx, cy = gx * ca - gy * sa, gx * sa + gy * ca
         tilt = phi + rng.uniform(-_ORIENTATION_JITTER_REGULAR, _ORIENTATION_JITTER_REGULAR)
-        rings.append(_rect_ring(cx, cy, lengths[i], widths[i], tilt))
+        rings.append(_rotate_translate(_rect_ring(lengths[i], widths[i]), tilt, cx, cy))
     return rings
 
 
@@ -398,7 +393,7 @@ def _irregular_group(rng, n):
             scale = math.sqrt(areas[i] / (length * width * (1.0 - fx * fy)))
             ring = [(x * scale, y * scale) for x, y in ring]
         else:
-            ring = _rect_ring(0.0, 0.0, length, width, 0.0)
+            ring = _rect_ring(length, width)
         ring = _rotate_translate(ring, rng.uniform(0.0, 180.0), 0.0, 0.0)
         rings.append(ring)
 

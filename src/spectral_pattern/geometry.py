@@ -22,15 +22,6 @@ import numpy as np
 
 from .errors import DegeneratePolygon, SelfIntersectingPolygon
 
-#: Feature order used everywhere a feature matrix appears.
-FEATURE_NAMES = (
-    "area",
-    "main_direction",
-    "length_width_ratio",
-    "area_ratio",
-    "compactness",
-)
-
 _MIN_AREA = 1e-9
 _MERGE_EPS = 1e-12
 # np.hypot is within an ulp of math.hypot: a ring whose neighbouring vertices
@@ -84,6 +75,10 @@ class BuildingFeatures(NamedTuple):
     length_width_ratio: float
     area_ratio: float
     compactness: float
+
+
+#: Feature order used everywhere a feature matrix appears.
+FEATURE_NAMES = BuildingFeatures._fields
 
 
 class Polygon:
@@ -249,26 +244,33 @@ def _first_crossings(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cr = EX * (BY - Y) - EY * (BX - X)
     dot = EX * (BX - X2) + EY * (BY - Y2)
     key = np.where((cr == 0) & (dot < 0), np.arange(n)[:, None] * n, n * n).min(axis=0)
-    I, J = np.triu_indices(n, k=2)
-    keep = (I > 0) | (J < n - 1)  # edges 0 and n - 1 share a vertex
-    I, J = I[keep], J[keep]
-    step = max(1, _MAX_ITEMS // max(I.size, 1))
-    for lo in range(0, B if I.size else 0, step):
-        s = slice(lo, lo + step)
-        x1, y1, x2, y2, ex, ey = (a[I, s] for a in (X, Y, X2, Y2, EX, EY))
-        x3, y3, x4, y4, fx, fy = (a[J, s] for a in (X, Y, X2, Y2, EX, EY))
-        # orientations of each segment's ends against the other segment
-        d1, d2 = fx * (y1 - y3) - fy * (x1 - x3), fx * (y2 - y3) - fy * (x2 - x3)
-        d3, d4 = ex * (y3 - y1) - ey * (x3 - x1), ex * (y4 - y1) - ey * (x4 - x1)
-        hit = (
-            (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0)))
-            & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
-            | (d1 == 0) & _on_segment(x3, y3, x4, y4, x1, y1)
-            | (d2 == 0) & _on_segment(x3, y3, x4, y4, x2, y2)
-            | (d3 == 0) & _on_segment(x1, y1, x2, y2, x3, y3)
-            | (d4 == 0) & _on_segment(x1, y1, x2, y2, x4, y4)
-        )
-        key[s] = np.minimum(key[s], np.where(hit, (I * n + J)[:, None], n * n).min(axis=0))
+    # pairs (i, j), j > i + 1, but not (0, n - 1), which share a vertex; cut
+    # into bands of first edges i so that a band's pairs times a block's
+    # rings stay within _MAX_ITEMS, however long the ring
+    rings = max(1, _MAX_ITEMS // (n * n))
+    rows = max(1, _MAX_ITEMS // (n * rings))
+    for top in range(0, n, rows):
+        i, j = np.ogrid[top : min(top + rows, n), :n]
+        I, J = np.nonzero((j > i + 1) & ((i > 0) | (j < n - 1)))
+        if not I.size:
+            continue
+        I += top
+        for lo in range(0, B, rings):
+            s = slice(lo, lo + rings)
+            x1, y1, x2, y2, ex, ey = (a[I, s] for a in (X, Y, X2, Y2, EX, EY))
+            x3, y3, x4, y4, fx, fy = (a[J, s] for a in (X, Y, X2, Y2, EX, EY))
+            # orientations of each segment's ends against the other segment
+            d1, d2 = fx * (y1 - y3) - fy * (x1 - x3), fx * (y2 - y3) - fy * (x2 - x3)
+            d3, d4 = ex * (y3 - y1) - ey * (x3 - x1), ex * (y4 - y1) - ey * (x4 - x1)
+            hit = (
+                (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0)))
+                & (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
+                | (d1 == 0) & _on_segment(x3, y3, x4, y4, x1, y1)
+                | (d2 == 0) & _on_segment(x3, y3, x4, y4, x2, y2)
+                | (d3 == 0) & _on_segment(x1, y1, x2, y2, x3, y3)
+                | (d4 == 0) & _on_segment(x1, y1, x2, y2, x4, y4)
+            )
+            key[s] = np.minimum(key[s], np.where(hit, (I * n + J)[:, None], n * n).min(axis=0))
     return key
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -470,18 +470,11 @@ def _size_stacks(sizes: Sequence[int]):
             yield same[s : s + step]
 
 
-class GraphStack(NamedTuple):
-    """The graphs of groups with one vertex count n: the groups' indices
-    (G,), weights (G, n, n) and features (G, n, 5)."""
-
-    index: np.ndarray
-    weights: np.ndarray
-    features: np.ndarray
-
-
 def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None = None):
     """The graphs of groups of footprints, as `build_spatial_graph` makes
-    them, in stacks of groups with equal vertex count.
+    them, in stacks of groups with equal vertex count n: per stack, the
+    tuple (index, W, F) of the groups' indices (G,), weights (G, n, n) and
+    features (G, n, 5).
 
     A generator: the edges are found group by group before the first stack
     is made, and the first group in order whose graph cannot be made raises
@@ -515,7 +508,7 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
         W = np.zeros((len(members), n, n))
         W[graph, E[:, 0], E[:, 1]] = w
         W[graph, E[:, 1], E[:, 0]] = w
-        yield GraphStack(np.array(members), W, features[rows])
+        yield np.array(members), W, features[rows]
 
 
 def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:

@@ -69,10 +69,6 @@ class GraphConvLayer:
             raise ValueError("layer parameters must be finite")
 
     @property
-    def order(self) -> int:
-        return self.theta.shape[0]
-
-    @property
     def c_in(self) -> int:
         return self.theta.shape[1]
 

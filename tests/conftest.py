@@ -20,6 +20,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+from spectral_pattern.data import load_dataset, save_dataset
+
 
 # a clockwise near-line ring that is accepted, and that `Polygon` stores
 # reversed: a collinearity test that reads the vertices in order can refuse
@@ -50,6 +52,17 @@ def rect_ring(cx, cy, length, width, angle_deg):
         u, v = sx * length / 2.0, sy * width / 2.0
         out.append((cx + u * ca - v * sa, cy + u * sa + v * ca))
     return out
+
+
+def assert_round_trip(ds, path):
+    """`load_dataset` reads back what `save_dataset` writes: ids, labels and
+    every building's xy, bit for bit."""
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert [(g.group_id, g.label) for g in back.groups] == [
+        (g.group_id, g.label) for g in ds.groups]
+    for a, b in zip(ds.groups, back.groups):
+        assert [p.xy.tobytes() for p in b.buildings] == [p.xy.tobytes() for p in a.buildings]
 
 
 def triangle_centres(rng, k):

@@ -20,7 +20,7 @@ from spectral_pattern.data import (
     save_dataset,
     split_dataset,
 )
-from spectral_pattern.errors import DivergedLoss
+from spectral_pattern.errors import DataError, DivergedLoss
 from spectral_pattern.graph import GraphConfig
 from spectral_pattern.nn import (
     DenseLayer,
@@ -32,7 +32,7 @@ from spectral_pattern.nn import (
 )
 from spectral_pattern.geometry import FEATURE_NAMES
 
-from conftest import rect_ring, triangle_centres
+from conftest import assert_round_trip, rect_ring, triangle_centres
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize(
         "extra", ["none", "short standardizer", "masked", "graph list", "graph null",
-                  "graph unknown key"],
+                  "graph unknown key", "feature names reordered", "feature names not a list"],
     )
     def test_checkpoint_without_usable_settings_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, extra
@@ -287,13 +287,19 @@ class TestExitCodes:
             settings["feature_mask"] = ["area"]
             stats["mean"], stats["std"] = stats["mean"][:1], stats["std"][:1]
             model = build_model(1, (6, 6), order=3, seed=3)
+        elif extra == "feature names reordered":
+            settings["feature_names"] = settings["feature_names"][::-1]
+        elif extra == "feature names not a list":
+            settings["feature_names"] = ",".join(FEATURE_NAMES)
         else:
             settings["graph"] = {"graph list": [], "graph null": None,
                                  "graph unknown key": {"structure": "dt", "kind": "sym"}}[extra]
         ckpt = tmp_path / "library.json"
         save_checkpoint(ckpt, model, settings)
         assert run(command, "--checkpoint", ckpt, "--data", data_path) == 3
-        assert "data error: checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error: checkpoint" in err
+        assert ("feature_names" in err) == extra.startswith("feature names")
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("field, value", [("std", float("nan")), ("mean", float("inf"))])
@@ -360,16 +366,19 @@ class TestExitCodes:
     def test_checkpoint_in_the_older_format_gives_the_same_output(
         self, data_path, artifacts, tmp_path, capsys, command
     ):
-        # the older format wrote "scaled": true in the graph block and a null feature_mask
+        # the older format wrote "scaled": true in the graph block and a null
+        # feature_mask; a checkpoint without feature_names is read in their order
         model, settings = load_checkpoint(artifacts["ckpt"])
         older = {**settings, "feature_mask": None, "graph": {**settings["graph"], "scaled": True}}
-        ckpt = tmp_path / "older.json"
-        save_checkpoint(ckpt, model, older)
+        unnamed = {k: v for k, v in settings.items() if k != "feature_names"}
+        paths = [artifacts["ckpt"], tmp_path / "older.json", tmp_path / "unnamed.json"]
+        save_checkpoint(paths[1], model, older)
+        save_checkpoint(paths[2], model, unnamed)
         outputs = []
-        for path in (artifacts["ckpt"], ckpt):
+        for path in paths:
             assert run(command, "--checkpoint", path, "--data", data_path) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[1] == outputs[0] != ""
+        assert outputs[2] == outputs[1] == outputs[0] != ""
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("where", ["dense-weights", "conv-thetas", "standardizer-mean"])
@@ -632,6 +641,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"numeric error: {prefix}non-finite loss at epoch 1\n"
         assert len(calls) == failing_call
         assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_is_1_without_a_traceback(
+        self, data_path, tmp_path, capsys, monkeypatch
+    ):
+        # as numpy raises for `--channels 100000000`
+        def build_model(*args, **kwargs):
+            raise MemoryError(
+                "Unable to allocate 11.2 GiB for an array with shape (3, 5, 100000000)")
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        assert run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json", *FAST) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: out of memory: Unable to allocate 11.2 GiB for an array with shape "
+            "(3, 5, 100000000)\n")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_split_string_is_2(self, data_path, tmp_path, capsys):
         rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json",
@@ -899,7 +925,8 @@ NAMED = re.compile(r"line \d+|group '|class '|(training|validation|train|val|tes
 class TestFuzzedInput:
     """Mutated lines of a valid corpus through `predict`, `eval` and `train`,
     run in-process: each exits 0, 2, 3 or 4 without a traceback, and an exit
-    3 names where the fault is."""
+    3 names where the fault is.  A file `load_dataset` accepts is saved and
+    read back unchanged."""
 
     @pytest.fixture(scope="class")
     def corpus(self, data_path, artifacts):
@@ -945,3 +972,8 @@ class TestFuzzedInput:
             assert "Traceback" not in out.getvalue() + err.getvalue()
             if code == 3:
                 assert NAMED.search(err.getvalue()), err.getvalue()
+        try:
+            accepted = load_dataset(data)
+        except DataError:
+            return
+        assert_round_trip(accepted, tmp / "round-trip.ndjson")

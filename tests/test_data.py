@@ -53,7 +53,7 @@ from spectral_pattern.graph import (
     minimum_spanning_tree,
 )
 
-from conftest import NEAR_LINE_RING, rect_ring, triangle_centres
+from conftest import NEAR_LINE_RING, assert_round_trip, rect_ring, triangle_centres
 
 
 def tiny_buildings(offset=0.0):
@@ -116,17 +116,6 @@ class TestDatasetInvariants:
 
 # ---------------------------------------------------------------------------
 # NDJSON I/O
-
-
-def assert_round_trip(ds, path):
-    """`load_dataset` reads back what `save_dataset` writes: ids, labels and
-    every building's xy, bit for bit."""
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert [(g.group_id, g.label) for g in back.groups] == [
-        (g.group_id, g.label) for g in ds.groups]
-    for a, b in zip(ds.groups, back.groups):
-        assert [p.xy.tobytes() for p in b.buildings] == [p.xy.tobytes() for p in a.buildings]
 
 
 class TestNdjsonIO:

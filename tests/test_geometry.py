@@ -1,6 +1,10 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,7 +650,7 @@ class TestBatches:
     def test_large_rings_split_into_several_kernel_calls(self, monkeypatch):
         # 12 rings of 200 vertices, and their 19,700 edge pairs each, over a
         # budget of 1,000 vertices or pairs per call: calls of 5 rings and
-        # crossing tests of one ring at a time
+        # crossing tests of one ring and 5 first edges at a time
         def outcome(p):
             return measures_of(p) if isinstance(p, Polygon) else (type(p), str(p))
 
@@ -657,6 +661,23 @@ class TestBatches:
         made = polygons(rings)
         assert isinstance(made[7], SelfIntersectingPolygon)
         assert [outcome(p) for p in made] == want
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_one_long_ring_is_checked_in_bounded_memory(self):
+        # its 8.4 million edge pairs, as whole arrays, would peak near 1.3 GiB
+        code = (
+            "import math, resource\n"
+            "from spectral_pattern.geometry import Polygon\n"
+            "Polygon([(math.cos(k * math.pi / 2048), math.sin(k * math.pi / 2048))\n"
+            "         for k in range(4096)])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(geometry.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 256 * 1024
 
 
 class TestExtractFeatures:
