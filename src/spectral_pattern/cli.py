@@ -26,6 +26,7 @@ from .data import (
     LABELS,
     Standardizer,
     _SPLIT_NAMES,
+    _check_ratios,
     _mask_indices,
     generate_synthetic_dataset,
     load_dataset,
@@ -98,7 +99,7 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
         raise ValueError(f"--split must be three comma-separated numbers, got {text!r}")
     if len(parts) != 3:
         raise ValueError(f"--split must have exactly three parts, got {text!r}")
-    return parts
+    return _check_ratios(parts)
 
 
 # the checkpoint's "train" block: these flags, under their own names
@@ -109,23 +110,28 @@ _TRAIN_FLAGS = (
 
 def _runs(args, variants, tested=False):
     """Trains one model per (name, K, feature mask) variant on the split and
-    graphs the flags ask for; yields (model, history, samples, standardizer,
-    graph config, seconds) per variant, in order.
+    graphs the flags ask for; yields (model, history, samples, checkpoint
+    settings, seconds) per variant, in order.
 
-    Every model and the TrainConfig are made before any graph is built, so a
-    bad flag fails at once.  A caller that scores each model on the test
-    split sets `tested`, so an empty test split fails before any training.
-    The graphs are built once, since neither K nor a mask changes them.  A
-    failure is prefixed with its variant's name, if any.
+    Every flag is checked, and every model and the TrainConfig made, before
+    the data file is read, so a bad flag fails at once.  A caller that
+    scores each model on the test split sets `tested`, so an empty test
+    split fails before any training.  The graphs are built once, since
+    neither K nor a mask changes them.  A failure is prefixed with its
+    variant's name, if any.
     """
-    groups = split_dataset(load_dataset(args.data), _parse_ratios(args.split), args.seed)
+    ratios = _parse_ratios(args.split)
     config = GraphConfig(
         structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
     )
+    try:
+        channels = (args.channels,) * args.layers
+    except OverflowError:
+        raise ValueError(f"--layers is too large, got {args.layers}") from None
     models = [
         build_model(
             feature_dim=len(_mask_indices(mask)),
-            conv_channels=(args.channels,) * args.layers,
+            conv_channels=channels,
             order=order,
             dropout_rate=args.dropout,
             l2_lambda=args.l2,
@@ -140,6 +146,7 @@ def _runs(args, variants, tested=False):
         seed=args.seed,
         optimizer=args.optimizer,
     )
+    groups = split_dataset(load_dataset(args.data), ratios, args.seed)
     if tested and not groups["test"]:
         raise EmptySplit(f"the test split of {args.data} is empty")
     graphs = split_graphs(groups, config)
@@ -152,21 +159,18 @@ def _runs(args, variants, tested=False):
             if name:
                 exc.args = (f"{name}: {exc}",)
             raise
-        yield model, history, samples, standardizer, config, time.perf_counter() - start
-
-
-def _checkpoint_extra(args, config: GraphConfig, standardizer) -> dict:
-    return {
-        "labels": list(LABELS),
-        "feature_names": list(FEATURE_NAMES),
-        "graph": asdict(config),
-        "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
-        "standardizer": {
-            "mean": standardizer.mean.tolist(),
-            "std": standardizer.std.tolist(),
-        },
-        "train": {flag: getattr(args, flag) for flag in _TRAIN_FLAGS},
-    }
+        extra = {
+            "labels": list(LABELS),
+            "feature_names": list(FEATURE_NAMES),
+            "graph": asdict(config),
+            "split": {"ratios": list(ratios), "seed": args.seed},
+            "standardizer": {
+                "mean": standardizer.mean.tolist(),
+                "std": standardizer.std.tolist(),
+            },
+            "train": {flag: getattr(args, flag) for flag in _TRAIN_FLAGS},
+        }
+        yield model, history, samples, extra, time.perf_counter() - start
 
 
 @contextlib.contextmanager
@@ -244,8 +248,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    [(model, history, _, standardizer, config, _)] = _runs(args, [("", args.k, None)])
-    save_checkpoint(args.checkpoint, model, _checkpoint_extra(args, config, standardizer))
+    [(model, history, _, extra, _)] = _runs(args, [("", args.k, None)])
+    save_checkpoint(args.checkpoint, model, extra)
     if args.history:
         _write_history_csv(history, args.history)
     print(
@@ -305,7 +309,7 @@ def cmd_sweep_k(args) -> int:
         raise ValueError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
     rows = []
     runs = _runs(args, [(f"k={k}", k, None) for k in k_values])
-    for k, (_, history, _, _, _, seconds) in zip(k_values, runs):
+    for k, (_, history, _, _, seconds) in zip(k_values, runs):
         best = history.best_epoch
         rows.append((k, f"{history.val_accuracy[best]:.4f}", f"{history.val_loss[best]:.6f}",
                      best, f"{seconds:.2f}"))
@@ -325,7 +329,7 @@ def cmd_ablate_features(args) -> int:
     rows = []
     variants = [(f"feature={name}", args.k, mask) for name, mask in zip(FEATURE_NAMES, masks)]
     for name, mask, run in zip(FEATURE_NAMES, masks, _runs(args, variants, tested=True)):
-        model, history, splits, _, _, seconds = run
+        model, history, splits, _, seconds = run
         test_acc, _ = evaluate(model, splits["test"])
         rows.append((name, len(mask), f"{history.val_accuracy[history.best_epoch]:.4f}",
                      f"{test_acc:.4f}", f"{seconds:.2f}"))

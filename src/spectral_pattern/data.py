@@ -193,6 +193,19 @@ def _allocate(count: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
+def _check_ratios(ratios) -> tuple[float, ...]:
+    """The train/val/test ratios as floats; ValueError unless they are three
+    finite positive numbers that sum to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if not all(math.isfinite(r) for r in ratios):
+        raise ValueError(f"ratios must be finite, got {ratios}")
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ValueError(f"need three positive ratios, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
 def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> dict:
     """Stratified train/val/test split of the labeled groups:
     {"train": [...], "val": [...], "test": [...]}, each list in file order.
@@ -201,14 +214,7 @@ def split_dataset(dataset: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> di
     one sample of its exact proportion in every split.  Deterministic for a
     fixed seed.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if not all(math.isfinite(r) for r in ratios):
-        raise ValueError(f"ratios must be finite, got {ratios}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-
+    ratios = _check_ratios(ratios)
     by_label: dict[str, list[int]] = {lab: [] for lab in LABELS}
     for i, g in enumerate(dataset.groups):
         if g.label is not None:

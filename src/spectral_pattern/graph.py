@@ -138,7 +138,8 @@ _INFINITE = -1  # the vertex every hull edge shares with its triangle outside
 # eps and 12 (10 + 96 eps) eps by over 0.5%, far more than the rounding of P and
 # of D^k can add; a determinant beyond its bound has the exact sign.
 # `_check_distinct` keeps D >= 7e-10 m, so the bounds stay far above the
-# absolute error that underflow can add.
+# absolute error that underflow can add; past D = 1e153 (orientation) and
+# 1e76 (in-circle) a product could overflow, and the bound is infinite.
 _ORIENT_BOUND = 6.7e-16
 _INCIRCLE_BOUND = 1.34e-14
 
@@ -164,25 +165,45 @@ def _check_distinct(pts: Sequence[tuple[float, float]]) -> None:
 
 
 def _predicate_bounds(pts) -> tuple[float, float]:
-    """The `bound` arguments of `_orient` and `_incircle` for points of pts."""
+    """The `bound` arguments of `_orient` and `_incircle` for points of pts:
+    infinite where the float determinant could overflow, so that it never
+    decides there."""
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-    return _ORIENT_BOUND * extent * extent, _INCIRCLE_BOUND * extent * extent * extent * extent
+    e = max(max(xs) - min(xs), max(ys) - min(ys))
+    return (_ORIENT_BOUND * e * e if e < 1e153 else math.inf,
+            _INCIRCLE_BOUND * e * e * e * e if e < 1e76 else math.inf)
+
+
+def _orient_det(a, b, p):
+    """The orientation determinant of a, b, p in the coordinates' own
+    arithmetic (float or Fraction), positive for a left turn."""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def _incircle_det(a, b, c, p):
+    """The in-circle determinant of a, b, c relative to p, in the same way:
+    positive when p is inside the circle through counter-clockwise abc."""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
+    return (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
 
 
 def _orient(a, b, p, bound) -> int:
     """Exact sign of the turn a -> b -> p: 1 left, -1 right, 0 collinear.
 
-    `bound` comes from `_predicate_bounds` of a point set holding a, b, p."""
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if det > bound:
-        return 1
-    if det < -bound:
-        return -1
-    (ax, ay), (bx, by), (px, py) = [(Fraction(x), Fraction(y)) for x, y in (a, b, p)]
-    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    `bound` comes from `_predicate_bounds` of a point set holding a, b, p.
+    The float determinant decides only beyond it, so never when not finite."""
+    det = _orient_det(a, b, p)
+    if not abs(det) > bound:
+        det = _orient_det(*[(Fraction(x), Fraction(y)) for x, y in (a, b, p)])
     return (det > 0) - (det < 0)
 
 
@@ -190,28 +211,11 @@ def _incircle(a, b, c, p, bound) -> int:
     """Exact sign of p against the circle through the counter-clockwise
     triangle abc: 1 strictly inside, -1 strictly outside, 0 on it.
 
-    `bound` comes from `_predicate_bounds` of a point set holding all four."""
-    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
-    adx, ady = ax - px, ay - py
-    bdx, bdy = bx - px, by - py
-    cdx, cdy = cx - px, cy - py
-    det = (
-        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-    )
-    if det < -bound:
-        return -1
-    if det > bound:
-        return 1
-    (adx, ady), (bdx, bdy), (cdx, cdy) = [
-        (Fraction(x) - Fraction(px), Fraction(y) - Fraction(py)) for x, y in (a, b, c)
-    ]
-    det = (
-        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-    )
+    `bound` comes from `_predicate_bounds` of a point set holding all four;
+    it is used as in `_orient`."""
+    det = _incircle_det(a, b, c, p)
+    if not abs(det) > bound:
+        det = _incircle_det(*[(Fraction(x), Fraction(y)) for x, y in (a, b, c, p)])
     return (det > 0) - (det < 0)
 
 
@@ -248,32 +252,33 @@ def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
         u, v, w = t
         across[u, v] = across[v, w] = across[w, u] = t
 
+    # The walk and the flood run the predicates' float filters inline and
+    # call `_orient` or `_incircle` exactly where those would go exact: when
+    # the float determinant is not beyond its bound (NaN included).
     for idx in [i for i in range(2, n) if i != k]:
-        p = px, py = pts[idx]
+        p = pts[idx]
         # walk: cross any edge with p strictly to its right, until p lies
         # in the triangle or past a hull edge.  Delaunay triangulations
-        # admit no cycle of such steps.
-        t, entry = start, None
+        # admit no cycle of such steps, and p is strictly left of the edge
+        # the walk came in by, so that edge is never crossed back.
+        t = start
         while t[2] != _INFINITE:
             a, b, c = t
             for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) == entry:
-                    continue  # p is on this triangle's side of its entry edge
-                (ux, uy), (vx, vy) = pts[u], pts[v]
-                det = (vx - ux) * (py - uy) - (vy - uy) * (px - ux)
-                if det < -orient_bound or (
-                    det <= orient_bound and _orient(pts[u], pts[v], p, orient_bound) < 0
+                det = _orient_det(pts[u], pts[v], p)
+                if det < -orient_bound or not det > orient_bound and (
+                    _orient(pts[u], pts[v], p, orient_bound) < 0
                 ):
-                    t, entry = across[v, u], (u, v)
+                    t = across[v, u]
                     break
             else:
                 break
         # flood the conflict region; its boundary edges keep the direction
         # they have in the cavity triangle.  A neighbour conflicts when p is
         # strictly inside its circle, or for a hull triangle strictly past
-        # its edge or on the edge's open segment; the float determinants are
-        # `_incircle`'s and `_orient`'s, which decide only within the bound.
-        cavity, outside, stack, boundary = {t}, set(), [t], []
+        # its edge or on the edge's open segment.  A rim triangle next to
+        # two cavity triangles is tested once from each, alike.
+        cavity, stack, boundary = {t}, [t], []
         while stack:
             u, v, w = stack.pop()
             for back in ((v, u), (w, v), (u, w)):  # each edge as its neighbour has it
@@ -281,35 +286,24 @@ def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
                 if nb in cavity:
                     continue
                 a, b, c = nb
-                if nb in outside:
-                    hit = False
-                elif c != _INFINITE:
-                    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-                    adx, ady = ax - px, ay - py
-                    bdx, bdy = bx - px, by - py
-                    cdx, cdy = cx - px, cy - py
-                    det = (
-                        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-                        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-                        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+                if c != _INFINITE:
+                    det = _incircle_det(pts[a], pts[b], pts[c], p)
+                    hit = det > incircle_bound or not det < -incircle_bound and (
+                        _incircle(pts[a], pts[b], pts[c], p, incircle_bound) > 0
                     )
-                    hit = det > incircle_bound or det >= -incircle_bound and _incircle(
-                        pts[a], pts[b], pts[c], p, incircle_bound) > 0
                 else:
-                    (ax, ay), (bx, by) = pts[a], pts[b]
-                    det = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                    det = _orient_det(pts[a], pts[b], p)
                     if det > orient_bound:
                         hit = True
                     elif det < -orient_bound:
                         hit = False
                     else:
                         side = _orient(pts[a], pts[b], p, orient_bound)
-                        hit = side > 0 or side == 0 and _on_segment(ax, ay, bx, by, px, py)
+                        hit = side > 0 or side == 0 and _on_segment(*pts[a], *pts[b], *p)
                 if hit:
                     cavity.add(nb)
                     stack.append(nb)
                 else:
-                    outside.add(nb)
                     boundary.append((back[1], back[0]))
         # every conflicting triangle has p strictly inside its circle, so
         # the cavity is star-shaped from p: join p to each boundary edge

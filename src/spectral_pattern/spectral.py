@@ -50,10 +50,6 @@ class PolynomialKernel:
             raise ValueError("kernel coefficients must be finite")
         object.__setattr__(self, "theta", t)
 
-    @property
-    def order(self) -> int:
-        return self.theta.shape[0]
-
 
 def gft(f, eig: EigenSystem) -> np.ndarray:
     """Spectral coefficients of a vertex signal: fhat[l] = <eigvec_l, f>.

@@ -691,6 +691,7 @@ class TestExitCodes:
     ):
         built = []
         monkeypatch.setattr(cli, "split_graphs", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: built.append(a))
         out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
         rc = run(command, "--data", data_path, *out, *FAST, *flag)
         assert rc == 2
@@ -704,18 +705,57 @@ class TestExitCodes:
         [(("--k", "0"), "order K must be at least 1, got 0"),
          (("--k", "-1"), "order K must be at least 1, got -1"),
          (("--channels", "-3"), "channel counts must be at least 1, got -3"),
-         (("--channels", "0"), "channel counts must be at least 1, got 0")],
+         (("--channels", "0"), "channel counts must be at least 1, got 0"),
+         (("--layers", "9" * 30), f"--layers is too large, got {'9' * 30}")],
     )
     def test_bad_order_or_channels_is_2_and_named(
         self, data_path, tmp_path, capsys, monkeypatch, command, flag, message
     ):
         built = []
         monkeypatch.setattr(cli, "split_graphs", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: built.append(a))
         out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
         rc = run(command, "--data", data_path, *out, *FAST, *flag)
         assert rc == 2 and built == []
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
+
+    def test_bad_flag_is_2_before_the_data_file_is_opened(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ndjson"
+        rc = run("train", "--data", missing, "--checkpoint", tmp_path / "m.json", "--batch", "0")
+        assert rc == 2
+        assert capsys.readouterr().err == "usage error: batch_size must be at least 1\n"
+
+    @pytest.mark.parametrize("command", ["train", "sweep-k", "ablate-features"])
+    @pytest.mark.parametrize("flag", [
+        "--seed", "--k", "--layers", "--channels", "--lr", "--epochs", "--batch", "--dropout",
+        "--l2", "--split",
+    ])
+    def test_flag_mutations_end_in_a_documented_exit(
+        self, data_path, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        # odd spellings of each training flag: every run exits with a
+        # documented code and no traceback, and a usage error comes before
+        # the data file is read.  Values that train for long or allocate
+        # huge arrays are left out.
+        values = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1.5", "1e400", "-0", "  ",
+                  "0x10", "1_000", "1e-400", "9" * 30]
+        if flag in ("--k", "--layers", "--channels", "--epochs"):
+            values.remove("1_000")
+        if flag in ("--k", "--channels", "--epochs"):
+            values.remove("9" * 30)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda p: loads.append(p) or load_dataset(p))
+        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+        extra = ("--k-values", "2") if command == "sweep-k" else ()
+        for value in values:
+            loads.clear()
+            rc = run(command, "--data", data_path, *out, *extra, *FAST, "--epochs", "1",
+                     f"{flag}={value}")
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2, 3, 4), (value, rc, err)
+            assert "Traceback" not in err, (value, err)
+            assert rc != 2 or loads == [], (value, err)
 
     def test_insufficient_class_is_3(self, tmp_path, capsys):
         ds = generate_synthetic_dataset(n_groups=4, size_range=(3, 4), seed=23)

@@ -268,6 +268,25 @@ class TestDelaunay:
                     if k not in t:
                         assert exact_incircle(a, b, c, pts[k]) <= 0, (family, pts[0], t, k)
 
+    def test_exact_at_huge_coordinates(self, rng):
+        # past about 1e77 m the float in-circle determinant overflows to inf
+        # or NaN; the triangulation must stay the exact one, and the same as
+        # for the set scaled down by an exact power of two
+        for _ in range(20):
+            e = float(rng.uniform(78.0, 150.0))
+            n = int(rng.integers(4, 26))
+            pts = [tuple(q) for q in rng.uniform(-1.0, 1.0, (n, 2)) * 10.0**e]
+            tris = delaunay_triangles(pts)
+            scale = 2.0 ** -math.floor(e * math.log2(10.0))
+            assert tris == delaunay_triangles([(x * scale, y * scale) for x, y in pts]), e
+            for t in tris:
+                a, b, c = (pts[i] for i in t)
+                if exact_orient(a, b, c) < 0:
+                    b, c = c, b
+                for k in range(len(pts)):
+                    if k not in t:
+                        assert exact_incircle(a, b, c, pts[k]) <= 0, (e, t, k)
+
     def test_euler_edge_count(self, rng):
         # a triangulation of n points with k of them on the hull boundary
         # has 3n - 3 - k edges and 2n - 2 - k triangles
@@ -409,6 +428,18 @@ class TestPredicates:
             assert _orient(u, v, w, orient_bound) == exact_orient(u, v, w), (u, v, w)
         for u, v, w in ((a, b, c), (a, c, b)):
             assert _incircle(u, v, w, p, incircle_bound) == exact_incircle(u, v, w, p), (u, v, w, p)
+
+
+    def test_overflowed_determinant_does_not_decide(self):
+        # at extents near 1e77 m a product of the float in-circle
+        # determinant overflows, and it reads -inf with p inside the circle
+        a, b, c, p = ((-3.1978055972832985e76, 7.315871516990177e75),
+                      (2.401103254767681e76, -3.7505895229643954e76),
+                      (-6.735321656951286e76, 8.64622889088903e76),
+                      (5.6278510591571396e76, 7.702397936835904e76))
+        _, incircle_bound = _predicate_bounds([a, b, c, p])
+        assert exact_orient(a, b, c) == exact_incircle(a, b, c, p) == 1
+        assert _incircle(a, b, c, p, incircle_bound) == 1
 
 
 class TestMst:

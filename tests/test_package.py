@@ -52,6 +52,24 @@ def test_thread_setting_reaches_every_thread_variable():
     assert result.stdout.split() == [",".join(["2"] * len(THREAD_VARS))]
 
 
+def test_thread_setting_warns_when_numpy_came_first():
+    result = fresh_python("-c", "import numpy, spectral_pattern", SPECTRAL_PATTERN_THREADS="1")
+    assert result.returncode != 0
+    assert "RuntimeWarning: SPECTRAL_PATTERN_THREADS=1 cannot take effect" in result.stderr
+
+
+def test_thread_setting_is_silent_when_the_caps_already_match():
+    caps = dict.fromkeys(THREAD_VARS, "1")
+    code = "import numpy, spectral_pattern"
+    result = fresh_python("-c", code, SPECTRAL_PATTERN_THREADS="1", **caps)
+    assert result.returncode == 0, result.stderr
+
+
+def test_thread_setting_is_silent_when_the_package_comes_first():
+    result = fresh_python("-c", "import spectral_pattern, numpy", SPECTRAL_PATTERN_THREADS="1")
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_export_is_its_defining_module_object():
     code = (
         "import importlib, spectral_pattern\n"
