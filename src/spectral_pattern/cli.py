@@ -5,8 +5,8 @@ Every command that takes --seed is fully reproducible: identical
 invocations write identical artifacts (run single-threaded, e.g. with
 SPECTRAL_PATTERN_THREADS=1, for bit-exact numerics).
 
-Exit codes: 0 success, 2 usage error, 3 data or file problem,
-4 numeric divergence, 1 any other toolkit error.
+Exit codes: 0 success, 2 a bad flag (usage error), 3 data or file problem,
+4 numeric divergence, 1 any other error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ from .data import (
     split_graphs,
     training_samples,
 )
-from .errors import CheckpointError, DataError, EmptySplit, NumericError, SpectralPatternError
+from .errors import (
+    CheckpointError,
+    DataError,
+    EmptySplit,
+    NumericError,
+    SpectralPatternError,
+    UsageError,
+)
 from .geometry import FEATURE_NAMES
 from .graph import LAPLACIAN_KINDS, STRUCTURES, WEIGHTINGS, GraphConfig
 from .nn import (
@@ -96,10 +103,17 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
     try:
         parts = tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--split must be three comma-separated numbers, got {text!r}")
+        raise UsageError(f"--split must be three comma-separated numbers, got {text!r}") from None
     if len(parts) != 3:
-        raise ValueError(f"--split must have exactly three parts, got {text!r}")
-    return _check_ratios(parts)
+        raise UsageError(f"--split must have exactly three parts, got {text!r}")
+    try:
+        return _check_ratios(parts)
+    except ValueError as exc:
+        raise UsageError(f"{exc} (--split {text!r})") from None
+
+
+def _graph_config(args) -> GraphConfig:
+    return GraphConfig(structure=args.structure, weighting=args.weighting, laplacian=args.laplacian)
 
 
 # the checkpoint's "train" block: these flags, under their own names
@@ -110,8 +124,8 @@ _TRAIN_FLAGS = (
 
 def _runs(args, variants, tested=False):
     """Trains one model per (name, K, feature mask) variant on the split and
-    graphs the flags ask for; yields (model, history, samples, checkpoint
-    settings, seconds) per variant, in order.
+    graphs the flags ask for; yields (model, history, samples, standardizer,
+    seconds) per variant, in order.
 
     Every flag is checked, and every model and the TrainConfig made, before
     the data file is read, so a bad flag fails at once.  A caller that
@@ -121,31 +135,32 @@ def _runs(args, variants, tested=False):
     variant's name, if any.
     """
     ratios = _parse_ratios(args.split)
-    config = GraphConfig(
-        structure=args.structure, weighting=args.weighting, laplacian=args.laplacian
-    )
+    config = _graph_config(args)
     try:
         channels = (args.channels,) * args.layers
     except OverflowError:
-        raise ValueError(f"--layers is too large, got {args.layers}") from None
-    models = [
-        build_model(
-            feature_dim=len(_mask_indices(mask)),
-            conv_channels=channels,
-            order=order,
-            dropout_rate=args.dropout,
-            l2_lambda=args.l2,
+        raise UsageError(f"--layers is too large, got {args.layers}") from None
+    try:
+        models = [
+            build_model(
+                feature_dim=len(_mask_indices(mask)),
+                conv_channels=channels,
+                order=order,
+                dropout_rate=args.dropout,
+                l2_lambda=args.l2,
+                seed=args.seed,
+            )
+            for _, order, mask in variants
+        ]
+        train_config = TrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch,
             seed=args.seed,
+            optimizer=args.optimizer,
         )
-        for _, order, mask in variants
-    ]
-    train_config = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        optimizer=args.optimizer,
-    )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     groups = split_dataset(load_dataset(args.data), ratios, args.seed)
     if tested and not groups["test"]:
         raise EmptySplit(f"the test split of {args.data} is empty")
@@ -159,18 +174,7 @@ def _runs(args, variants, tested=False):
             if name:
                 exc.args = (f"{name}: {exc}",)
             raise
-        extra = {
-            "labels": list(LABELS),
-            "feature_names": list(FEATURE_NAMES),
-            "graph": asdict(config),
-            "split": {"ratios": list(ratios), "seed": args.seed},
-            "standardizer": {
-                "mean": standardizer.mean.tolist(),
-                "std": standardizer.std.tolist(),
-            },
-            "train": {flag: getattr(args, flag) for flag in _TRAIN_FLAGS},
-        }
-        yield model, history, samples, extra, time.perf_counter() - start
+        yield model, history, samples, standardizer, time.perf_counter() - start
 
 
 @contextlib.contextmanager
@@ -236,6 +240,14 @@ def _write_history_csv(history, path) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.groups < 2 or args.groups % 2:
+        raise UsageError(f"--groups must be even and at least 2, got {args.groups}")
+    if not 3 <= args.size_min <= 128:
+        raise UsageError(f"--size-min must lie in [3, 128], got {args.size_min}")
+    if not args.size_min <= args.size_max <= 128:
+        raise UsageError(f"--size-max must lie in [--size-min, 128], got {args.size_max}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     dataset = generate_synthetic_dataset(
         n_groups=args.groups,
         size_range=(args.size_min, args.size_max),
@@ -248,7 +260,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    [(model, history, _, extra, _)] = _runs(args, [("", args.k, None)])
+    [(model, history, _, standardizer, _)] = _runs(args, [("", args.k, None)])
+    extra = {
+        "labels": list(LABELS),
+        "feature_names": list(FEATURE_NAMES),
+        "graph": asdict(_graph_config(args)),
+        "split": {"ratios": list(_parse_ratios(args.split)), "seed": args.seed},
+        "standardizer": {"mean": standardizer.mean.tolist(), "std": standardizer.std.tolist()},
+        "train": {flag: getattr(args, flag) for flag in _TRAIN_FLAGS},
+    }
     save_checkpoint(args.checkpoint, model, extra)
     if args.history:
         _write_history_csv(history, args.history)
@@ -304,9 +324,11 @@ def cmd_sweep_k(args) -> int:
     try:
         k_values = sorted({int(x) for x in args.k_values.split(",")})
     except ValueError:
-        raise ValueError(f"--k-values must be comma-separated integers, got {args.k_values!r}")
+        raise UsageError(
+            f"--k-values must be comma-separated integers, got {args.k_values!r}"
+        ) from None
     if any(not 1 <= k <= 6 for k in k_values):
-        raise ValueError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
+        raise UsageError(f"--k-values must lie in [1, 6], got {args.k_values!r}")
     rows = []
     runs = _runs(args, [(f"k={k}", k, None) for k in k_values])
     for k, (_, history, _, _, seconds) in zip(k_values, runs):
@@ -344,10 +366,11 @@ def cmd_ablate_features(args) -> int:
 # Parser
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0, help="split, init, and shuffle seed")
     p.add_argument("--split", default="0.6,0.2,0.2", help="train,val,test ratios")
-    p.add_argument("--k", type=int, default=3, help="polynomial filter order (hop radius K-1)")
+    if with_k:
+        p.add_argument("--k", type=int, default=3, help="polynomial filter order (hop radius K-1)")
     p.add_argument("--layers", type=int, default=4, help="number of graph convolution layers")
     p.add_argument("--channels", type=int, default=24, help="channels per convolution layer")
     p.add_argument("--structure", choices=STRUCTURES, default="dt")
@@ -401,11 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep-k",
         help="train once per filter order and report validation accuracy",
         epilog="CSV schema: k,val_accuracy,val_loss,best_epoch,seconds",
+        allow_abbrev=False,  # or `--k 3` would read as `--k-values 3`
     )
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="optional CSV output path")
     p.add_argument("--k-values", default="1,2,3,4,5,6", help="comma-separated orders in [1,6]")
-    _add_train_flags(p)
+    _add_train_flags(p, with_k=False)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser(
@@ -433,7 +457,7 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except DataError as exc:
@@ -445,7 +469,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except SpectralPatternError as exc:
+    except (SpectralPatternError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
     except MemoryError as exc:

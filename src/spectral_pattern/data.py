@@ -522,12 +522,17 @@ def training_samples(splits: dict, graphs: dict, feature_mask=None):
     """Each split's samples from its `split_graphs`, and the Standardizer
     fitted on the training split's buildings: ({"train": [...], "val":
     [...], "test": [...]}, Standardizer).  The feature mask (names or
-    indices) is applied before fitting."""
+    indices) is applied before fitting.  Raises DataError naming the first
+    feature whose mean or std is not finite."""
     cols = list(_mask_indices(feature_mask))
     train_rows = np.vstack([feats[:, cols] for feats, _ in graphs["train"]])
-    standardizer = Standardizer(
-        mean=train_rows.mean(axis=0), std=np.maximum(train_rows.std(axis=0), _STD_FLOOR)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = train_rows.mean(axis=0), train_rows.std(axis=0)
+    unfit = ~(np.isfinite(mean) & np.isfinite(std))
+    if unfit.any():
+        name = FEATURE_NAMES[cols[int(np.argmax(unfit))]]
+        raise DataError(f"the {name} mean or std over the training split is not finite")
+    standardizer = Standardizer(mean=mean, std=np.maximum(std, _STD_FLOOR))
     out = {name: _samples(splits[name], graphs[name], cols, standardizer) for name in _SPLIT_NAMES}
     return out, standardizer
 

@@ -5,6 +5,11 @@ class SpectralPatternError(Exception):
     """Base class for every error raised by this package."""
 
 
+class UsageError(SpectralPatternError):
+    """A command-line flag has a value the command cannot use; the message
+    names the flag or the setting it gives."""
+
+
 # -- geometry ---------------------------------------------------------------
 
 class GeometryError(SpectralPatternError):

@@ -219,10 +219,13 @@ def _incircle(a, b, c, p, bound) -> int:
     return (det > 0) - (det < 0)
 
 
-def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
-    """The live triangles of the incremental Delaunay triangulation of
-    points, as `delaunay_triangles` describes it: (a, b, c) counter-clockwise,
-    and a hull triangle (u, v, _INFINITE) past each hull edge u -> v."""
+def _edge_table(points: Iterable) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The incremental Delaunay triangulation of points, as the table that
+    maps each directed edge (u, v) of a live triangle to that triangle: (a,
+    b, c) counter-clockwise, or a hull triangle (u, v, _INFINITE) past each
+    hull edge u -> v, as `delaunay_triangles` describes.  Each live triangle
+    is stored under exactly its three edges, and the one across edge (u, v)
+    under (v, u)."""
     pts = [(float(x), float(y)) for x, y in points]
     n = len(pts)
     if n < 3:
@@ -239,16 +242,9 @@ def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
         if side:
             break
     a, b = (1, k) if side > 0 else (k, 1)
-    # live triangles: (a, b, c) counter-clockwise, or hull triangles
-    # (u, v, _INFINITE) with the outside to the left of u -> v
     start = (0, a, b)  # where the next walk begins: the last finite triangle made
-    live = {start, (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)}
-    # every live triangle under each of its directed edges; the one across
-    # edge (u, v) sits under (v, u).  Entries of dead triangles are never
-    # read: the reverse of a live edge is live, and a triangle made later
-    # with the same edge overwrites its entry.
     across = {}
-    for t in live:
+    for t in (start, (a, 0, _INFINITE), (b, a, _INFINITE), (0, b, _INFINITE)):
         u, v, w = t
         across[u, v] = across[v, w] = across[w, u] = t
 
@@ -306,8 +302,10 @@ def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
                 else:
                     boundary.append((back[1], back[0]))
         # every conflicting triangle has p strictly inside its circle, so
-        # the cavity is star-shaped from p: join p to each boundary edge
-        live -= cavity
+        # the cavity is star-shaped from p: join p to each boundary edge,
+        # which puts back the boundary entries the cavity's removal took
+        for u, v, w in cavity:
+            del across[u, v], across[v, w], across[w, u]
         for u, v in boundary:
             if u == _INFINITE:
                 t = (v, idx, _INFINITE)
@@ -315,10 +313,9 @@ def _live_triangles(points: Iterable) -> set[tuple[int, int, int]]:
                 t = (idx, u, _INFINITE)
             else:
                 t = start = (u, v, idx)
-            live.add(t)
             u, v, w = t
             across[u, v] = across[v, w] = across[w, u] = t
-    return live
+    return across
 
 
 def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
@@ -340,19 +337,13 @@ def delaunay_triangles(points: Iterable) -> list[tuple[int, int, int]]:
     connected and holds the triangle the walk ends in, so with exact
     predicates it is the one a test of every triangle would find.
     """
-    return sorted(tuple(sorted(t)) for t in _live_triangles(points) if t[2] != _INFINITE)
+    return sorted(tuple(sorted(t)) for t in set(_edge_table(points).values()) if t[2] != _INFINITE)
 
 
 def delaunay_triangulate(points: Iterable) -> list[tuple[int, int]]:
     """Edge set of the Delaunay triangulation, as sorted (i, j) pairs."""
-    # each finite edge is directed one way in one live triangle and the
-    # other way in the triangle across it: read it where it runs upward
-    return sorted([
-        (u, v)
-        for a, b, c in _live_triangles(points)
-        for u, v in ((a, b), (b, c), (c, a))
-        if _INFINITE < u < v
-    ])
+    # each finite edge is a key in both directions: read it where it runs upward
+    return sorted([(u, v) for u, v in _edge_table(points) if _INFINITE < u < v])
 
 
 # ---------------------------------------------------------------------------

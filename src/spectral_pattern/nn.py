@@ -205,9 +205,11 @@ class GcnnModel:
 # Forward pieces
 
 
-def _power_stack(L, H, K) -> np.ndarray:
+def power_stack(L, H, K) -> np.ndarray:
     """[H, L H, ..., L^(K-1) H] side by side along the channel axis, for a
-    (B, n, c) stack of signals or one (n, c) signal."""
+    (B, n, c) stack of signals or one (n, c) signal.  `_conv_stack` looks it
+    up as a module global on every call, so a profiler that replaces
+    `nn.power_stack` counts every layer's stack."""
     powers = [H]
     for _ in range(1, K):
         powers.append(L @ powers[-1])
@@ -218,14 +220,14 @@ def _conv_stack(layers, L, H, tape=None) -> np.ndarray:
     """Runs conv layers on the signal `H`, one graph's (n, c) or a stack's
     (B, n, c).
 
-    Each layer puts its input's `_power_stack` side by side, so one product
+    Each layer puts its input's `power_stack` side by side, so one product
     with theta reshaped to (K*c_in, c_out) applies every coefficient; then
     bias and ReLU.  When `tape` is a list, each layer's (power stack,
     pre-activation) pair is appended to it for backward.
     """
     for layer in layers:
         K, c_in, c_out = layer.theta.shape
-        P = _power_stack(L, H, K)
+        P = power_stack(L, H, K)
         Z = P @ layer.theta.reshape(K * c_in, c_out) + layer.bias
         if tape is not None:
             tape.append((P, Z))

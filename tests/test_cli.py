@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -726,36 +727,92 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "usage error: batch_size must be at least 1\n"
 
-    @pytest.mark.parametrize("command", ["train", "sweep-k", "ablate-features"])
-    @pytest.mark.parametrize("flag", [
-        "--seed", "--k", "--layers", "--channels", "--lr", "--epochs", "--batch", "--dropout",
-        "--l2", "--split",
-    ])
+    @pytest.mark.parametrize(
+        "flag, command",
+        [(flag, command)
+         for flag in ("--seed", "--k", "--layers", "--channels", "--lr", "--epochs", "--batch",
+                      "--dropout", "--l2", "--split")
+         for command in ("ablate-features", "sweep-k", "train")]
+        + [(flag, "generate") for flag in ("--groups", "--size-min", "--size-max", "--seed")],
+        ids=lambda v: v,
+    )
     def test_flag_mutations_end_in_a_documented_exit(
         self, data_path, tmp_path, capsys, monkeypatch, command, flag
     ):
-        # odd spellings of each training flag: every run exits with a
-        # documented code and no traceback, and a usage error comes before
-        # the data file is read.  Values that train for long or allocate
-        # huge arrays are left out.
+        # odd spellings of each training and generator flag: every run exits
+        # with a documented code and no traceback, and a usage error comes
+        # before the data file is read or any group is drawn.  Values that
+        # train or draw for long or allocate huge arrays are left out.
         values = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1.5", "1e400", "-0", "  ",
                   "0x10", "1_000", "1e-400", "9" * 30]
-        if flag in ("--k", "--layers", "--channels", "--epochs"):
+        if flag in ("--k", "--layers", "--channels", "--epochs", "--groups"):
             values.remove("1_000")
         if flag in ("--k", "--channels", "--epochs"):
             values.remove("9" * 30)
-        loads = []
-        monkeypatch.setattr(cli, "load_dataset", lambda p: loads.append(p) or load_dataset(p))
-        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
-        extra = ("--k-values", "2") if command == "sweep-k" else ()
+        reads = []
+        if command == "generate":
+            monkeypatch.setattr(cli, "generate_synthetic_dataset",
+                                lambda **k: reads.append(k) or generate_synthetic_dataset(**k))
+            argv = ("generate", "--out", tmp_path / "out", "--groups", "2", "--size-min", "3",
+                    "--size-max", "4")
+        else:
+            monkeypatch.setattr(cli, "load_dataset", lambda p: reads.append(p) or load_dataset(p))
+            out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+            extra = ("--k-values", "2") if command == "sweep-k" else ()
+            argv = (command, "--data", data_path, *out, *extra, *FAST, "--epochs", "1")
         for value in values:
-            loads.clear()
-            rc = run(command, "--data", data_path, *out, *extra, *FAST, "--epochs", "1",
-                     f"{flag}={value}")
+            reads.clear()
+            rc = run(*argv, f"{flag}={value}")
             err = capsys.readouterr().err
             assert rc in (0, 1, 2, 3, 4), (value, rc, err)
             assert "Traceback" not in err, (value, err)
-            assert rc != 2 or loads == [], (value, err)
+            assert rc != 2 or reads == [], (value, err)
+
+    @pytest.mark.parametrize("command, code", [("sweep-k", 2), ("train", 0), ("ablate-features", 0)])
+    def test_only_the_commands_that_read_k_take_it(
+        self, data_path, tmp_path, capsys, monkeypatch, command, code
+    ):
+        # sweep-k trains the orders of --k-values, so it has no --k to ignore
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda p: loads.append(p) or load_dataset(p))
+        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+        rc = run(command, "--data", data_path, *out, *FAST, "--epochs", "1", "--k", "3")
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code == 2:
+            assert "unrecognized arguments: --k 3" in err and loads == []
+
+    def test_a_value_error_that_no_flag_check_raised_is_1(
+        self, data_path, tmp_path, capsys, monkeypatch
+    ):
+        def train(model, splits, config):
+            raise ValueError("not a flag's fault")
+
+        monkeypatch.setattr(cli, "train", train)
+        rc = run("train", "--data", data_path, "--checkpoint", tmp_path / "m.json", *FAST)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: not a flag's fault\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_features_whose_statistics_overflow_are_3_and_named(self, tmp_path, capsys):
+        # squares 1e100 m across are valid rings, but the std of their areas
+        # (1e200 m^2) squares them past the float range
+        s = 1e100
+        path = tmp_path / "vast.ndjson"
+        path.write_text("".join(
+            json.dumps({"id": f"vast-{g}", "label": ("regular", "irregular")[g % 2], "buildings": [
+                {"ring": rect_ring(x, y, s, s, 0.0)} for x in (0.0, 3 * s) for y in (0.0, (3 + g) * s)
+            ]}) + "\n"
+            for g in range(12)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--data", path, "--checkpoint", tmp_path / "m.json", "--epochs", "1")
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: the area mean or std over the training split is not finite\n")
+        assert [str(w.message) for w in caught] == []
 
     def test_insufficient_class_is_3(self, tmp_path, capsys):
         ds = generate_synthetic_dataset(n_groups=4, size_range=(3, 4), seed=23)

@@ -32,6 +32,7 @@ from spectral_pattern.graph import (
     LaplacianMatrix,
     SpatialGraph,
     _check_distinct,
+    _edge_table,
     _incircle,
     _orient,
     _predicate_bounds,
@@ -310,6 +311,20 @@ class TestDelaunay:
         for family, pts in families:
             sides = {e for a, b, c in delaunay_triangles(pts) for e in ((a, b), (b, c), (a, c))}
             assert delaunay_triangulate(pts) == sorted(sides), (family, pts[0])
+
+    def test_table_holds_each_live_triangle_under_its_edges(self, rng, wide_corpus):
+        # the one table the triangulation keeps: every edge has its reverse,
+        # and each triangle sits under exactly its three directed edges, so
+        # no entry of a triangle a cavity removed is left behind
+        families = list(delaunay_point_sets(rng)) + [("wide corpus", pts) for pts in wide_corpus]
+        for family, pts in families:
+            table = _edge_table(pts)
+            assert all((v, u) in table for u, v in table), (family, pts[0])
+            under = {}
+            for edge, t in table.items():
+                under.setdefault(t, set()).add(edge)
+            for (a, b, c), edges in under.items():
+                assert edges == {(a, b), (b, c), (c, a)}, (family, pts[0], (a, b, c))
 
     def test_incircle_calls_per_point(self, monkeypatch, wide_corpus):
         # the scan makes about 80 in-circle tests per inserted point on this

@@ -137,7 +137,8 @@ def test_command_options_are_pinned():
         "train": ["--data", "--checkpoint", "--history", *train_flags],
         "eval": ["--checkpoint", "--data", "--split"],
         "predict": ["--checkpoint", "--data", "--out"],
-        "sweep-k": ["--data", "--out", "--k-values", *train_flags],
+        # sweep-k trains the orders of --k-values and takes no --k
+        "sweep-k": ["--data", "--out", "--k-values", *[f for f in train_flags if f != "--k"]],
         "ablate-features": ["--data", "--out", "--mode", *train_flags],
     }
     help_action, commands = cli.build_parser()._actions  # no top-level option but --help
