@@ -50,6 +50,7 @@ from .nn import (
     OPTIMIZERS,
     TrainConfig,
     _inference_probs,
+    _json_numbers,
     build_model,
     evaluate,
     load_checkpoint,
@@ -112,6 +113,11 @@ def _parse_ratios(text: str) -> tuple[float, ...]:
         raise UsageError(f"{exc} (--split {text!r})") from None
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
+
+
 def _graph_config(args) -> GraphConfig:
     return GraphConfig(structure=args.structure, weighting=args.weighting, laplacian=args.laplacian)
 
@@ -134,6 +140,7 @@ def _runs(args, variants, tested=False):
     neither K nor a mask changes them.  A failure is prefixed with its
     variant's name, if any.
     """
+    _check_seed(args.seed)
     ratios = _parse_ratios(args.split)
     config = _graph_config(args)
     try:
@@ -193,8 +200,8 @@ def _restore(checkpoint_path):
     with _checkpoint_settings():
         stats = extra["standardizer"]
         std = Standardizer(
-            mean=np.array(stats["mean"], dtype=float),
-            std=np.array(stats["std"], dtype=float),
+            mean=_json_numbers("standardizer mean", stats["mean"], 1),
+            std=_json_numbers("standardizer std", stats["std"], 1),
         )
         graph = {**extra["graph"]}
         # older checkpoints carry "scaled": true; the network reads only the scaled Laplacian
@@ -246,8 +253,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--size-min must lie in [3, 128], got {args.size_min}")
     if not args.size_min <= args.size_max <= 128:
         raise UsageError(f"--size-max must lie in [--size-min, 128], got {args.size_max}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {args.seed}")
+    _check_seed(args.seed)
     dataset = generate_synthetic_dataset(
         n_groups=args.groups,
         size_range=(args.size_min, args.size_max),
@@ -284,7 +290,9 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     # rebuild the training-time split so held-out means held-out
     with _checkpoint_settings():
-        splits = split_dataset(dataset, tuple(extra["split"]["ratios"]), extra["split"]["seed"])
+        split = extra["split"]
+        ratios = _json_numbers("split ratios", split["ratios"], 1)
+        splits = split_dataset(dataset, tuple(ratios), _json_numbers("split seed", split["seed"], 0))
     if not splits[args.split]:
         raise EmptySplit(f"the {args.split} split of {args.data} is empty")
     samples = prepare_inference_samples(splits[args.split], std, config)
@@ -384,56 +392,59 @@ def _add_train_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
 
 
+def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """The subcommand `name`, run by `func`; it takes each flag only by its
+    full name, so `--chan` is refused rather than read as `--channels`."""
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-pattern",
         description="Classify building-group layouts as regular or irregular "
         "with a spectral graph convolutional network.",
         epilog="exit codes: 0 ok, 2 usage, 3 data/file, 4 numeric divergence, 1 other",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic NDJSON dataset")
+    p = _command(sub, "generate", cmd_generate, help="write a synthetic NDJSON dataset")
     p.add_argument("--out", required=True, help="output NDJSON path")
     p.add_argument("--groups", type=int, default=600, help="number of groups (even)")
     p.add_argument("--size-min", type=int, default=20, help="min buildings per group")
     p.add_argument("--size-max", type=int, default=40, help="max buildings per group")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="fit a classifier and save a checkpoint")
+    p = _command(sub, "train", cmd_train, help="fit a classifier and save a checkpoint")
     p.add_argument("--data", required=True, help="NDJSON dataset path")
     p.add_argument("--checkpoint", required=True, help="output checkpoint path")
     p.add_argument("--history", help="optional CSV of per-epoch metrics")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="accuracy and confusion matrix on a held-out split")
+    p = _command(sub, "eval", cmd_eval, help="accuracy and confusion matrix on a held-out split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="the dataset the model was trained on")
     p.add_argument("--split", choices=_SPLIT_NAMES, default="test")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="per-group probabilities as NDJSON")
+    p = _command(sub, "predict", cmd_predict, help="per-group probabilities as NDJSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="NDJSON groups (labels optional)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser(
-        "sweep-k",
+    p = _command(
+        sub, "sweep-k", cmd_sweep_k,
         help="train once per filter order and report validation accuracy",
         epilog="CSV schema: k,val_accuracy,val_loss,best_epoch,seconds",
-        allow_abbrev=False,  # or `--k 3` would read as `--k-values 3`
     )
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="optional CSV output path")
     p.add_argument("--k-values", default="1,2,3,4,5,6", help="comma-separated orders in [1,6]")
     _add_train_flags(p, with_k=False)
-    p.set_defaults(func=cmd_sweep_k)
 
-    p = sub.add_parser(
-        "ablate-features",
+    p = _command(
+        sub, "ablate-features", cmd_ablate_features,
         help="train per feature subset (mask applied before standardization)",
         epilog="CSV schema: feature,n_columns,val_accuracy,test_accuracy,seconds",
     )
@@ -441,20 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional CSV output path")
     p.add_argument("--mode", choices=("only-one", "all-but-one"), default="only-one")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_ablate_features)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code is not None else _EXIT_OK
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return _EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

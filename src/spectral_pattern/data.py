@@ -33,13 +33,12 @@ from .errors import (
 )
 from .geometry import FEATURE_NAMES, Polygon, polygons
 from .graph import GraphConfig, graph_stacks, laplacian
-from .nn import GraphSample
+from .nn import _JSON_NUMBERS, GraphSample
 
 LABELS = ("regular", "irregular")
 
 _STD_FLOOR = 1e-8
 _RINGS_PER_BUILD = 2048  # footprints parsed before they are built as one batch
-_JSON_NUMBERS = (int, float)  # exact types: bool is an int subclass
 _SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -497,7 +496,7 @@ def _samples(groups, graphs, cols, standardizer: Standardizer) -> list[GraphSamp
     ]
 
 
-def split_graphs(splits: dict, graph_config: GraphConfig | None = None) -> dict:
+def split_graphs(splits: dict, graph_config: GraphConfig = GraphConfig()) -> dict:
     """{"train": [...], "val": [...], "test": [...]}: the (unmasked features,
     Laplacian) pair of each group of `split_dataset`'s splits, all built in
     one pass.  Neither the filter order nor a feature mask changes them, so
@@ -513,8 +512,7 @@ def split_graphs(splits: dict, graph_config: GraphConfig | None = None) -> dict:
                 raise ValueError(f"splits overlap: group {g.group_id!r} is in {first} and {name}")
     if not splits["train"]:
         raise EmptySplit("training split is empty; the standardizer needs training buildings")
-    config = graph_config if graph_config is not None else GraphConfig()
-    graphs = iter(_graphs([g for name in _SPLIT_NAMES for g in splits[name]], config))
+    graphs = iter(_graphs([g for name in _SPLIT_NAMES for g in splits[name]], graph_config))
     return {name: [next(graphs) for _ in splits[name]] for name in _SPLIT_NAMES}
 
 
@@ -539,7 +537,7 @@ def training_samples(splits: dict, graphs: dict, feature_mask=None):
 
 def prepare_training_samples(
     splits: dict,
-    graph_config: GraphConfig | None = None,
+    graph_config: GraphConfig = GraphConfig(),
     feature_mask=None,
 ):
     """Graphs, Laplacians, and standardized features for each of
@@ -555,9 +553,8 @@ def prepare_training_samples(
 def prepare_inference_samples(
     groups: Sequence[BuildingGroup],
     standardizer: Standardizer,
-    graph_config: GraphConfig | None = None,
+    graph_config: GraphConfig = GraphConfig(),
 ) -> list[GraphSample]:
     """Same transform as training time, on every feature column, for
     unlabeled or held-out groups."""
-    config = graph_config if graph_config is not None else GraphConfig()
-    return _samples(groups, _graphs(groups, config), list(_mask_indices(None)), standardizer)
+    return _samples(groups, _graphs(groups, graph_config), list(_mask_indices(None)), standardizer)

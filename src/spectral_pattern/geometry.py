@@ -27,7 +27,6 @@ _MERGE_EPS = 1e-12
 # np.hypot is within an ulp of math.hypot: a ring whose neighbouring vertices
 # it puts this close, but not together, is merged by `_read_ring` instead
 _NEAR = 2 * _MERGE_EPS
-_MAX_RINGS = 4096  # rings per kernel call
 _MAX_ITEMS = 1 << 17  # vertices or edge pairs per kernel call: 1 MiB a float array
 
 
@@ -145,6 +144,12 @@ def _read_ring(ring: Iterable) -> list[tuple[float, float]]:
     return xy
 
 
+def _rings_per_call(n: int) -> int:
+    """Rings of n vertices per kernel call: their (n, rings) coordinate
+    arrays stay within _MAX_ITEMS floats."""
+    return max(1, _MAX_ITEMS // max(n, 1))
+
+
 def polygons(rings: Sequence) -> list:
     """`Polygon(ring)` for each ring, or in its place the exception that
     raises.  Rings are lists or tuples of (x, y) number pairs, as JSON rings
@@ -157,8 +162,9 @@ def polygons(rings: Sequence) -> list:
     slow: list[int] = []
     with np.errstate(all="ignore"):  # overflow gives inf and is checked, as with floats
         for n, idx in by_len.items():
-            for lo in range(0, len(idx), _MAX_RINGS):
-                slow += _stack(rings, idx[lo : lo + _MAX_RINGS], n, stacks)
+            step = _rings_per_call(n)
+            for lo in range(0, len(idx), step):
+                slow += _stack(rings, idx[lo : lo + step], n, stacks)
         for i in slow:
             try:
                 X, Y = np.array(_read_ring(rings[i]), dtype=float).reshape(-1, 2).T
@@ -169,7 +175,7 @@ def polygons(rings: Sequence) -> list:
         for n, parts in stacks.items():
             idx = np.concatenate([p[0] for p in parts])
             X, Y = (np.concatenate([p[k] for p in parts], axis=1) for k in (1, 2))
-            step = max(1, min(_MAX_RINGS, _MAX_ITEMS // max(n, 1)))
+            step = _rings_per_call(n)
             for lo in range(0, len(idx), step):
                 s = slice(lo, lo + step)
                 _measure(X[:, s], Y[:, s], idx[s], out)

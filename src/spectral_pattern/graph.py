@@ -455,7 +455,7 @@ def _size_stacks(sizes: Sequence[int]):
             yield same[s : s + step]
 
 
-def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None = None):
+def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig = GraphConfig()):
     """The graphs of groups of footprints, as `build_spatial_graph` makes
     them, in stacks of groups with equal vertex count n: per stack, the
     tuple (index, W, F) of the groups' indices (G,), weights (G, n, n) and
@@ -467,8 +467,6 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
     stack's weights, of at most `_STACK_ENTRIES` entries, are made as it is
     read.
     """
-    if config is None:
-        config = GraphConfig()
     M = _measures([p for group in groups for p in group])
     features = _features(M)
     found, start = {}, 0  # group index: (first row in M, edges, weights)
@@ -496,7 +494,7 @@ def graph_stacks(groups: Sequence[Sequence[Polygon]], config: GraphConfig | None
         yield np.array(members), W, features[rows]
 
 
-def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig | None = None) -> SpatialGraph:
+def build_spatial_graph(group: Sequence[Polygon], config: GraphConfig = GraphConfig()) -> SpatialGraph:
     """Graph over centroids of a building group.
 
     Structure is the Delaunay triangulation or its MST (tree distances are

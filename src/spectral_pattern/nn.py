@@ -524,14 +524,12 @@ def _split_metrics(model: GcnnModel, samples, stacks) -> tuple[float, float]:
     return loss, float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config: TrainConfig | None = None):
+def train(model: GcnnModel, splits: Mapping[str, Sequence[GraphSample]], config: TrainConfig = TrainConfig()):
     """Mini-batch training with early stopping on validation loss.
 
     Returns (model, TrainHistory); the model carries the parameters of the
     best validation epoch, not the last one.
     """
-    if config is None:
-        config = TrainConfig()
     train_set = list(splits.get("train", ()))
     val_set = list(splits.get("val", ()))
     if not train_set:
@@ -609,14 +607,12 @@ def evaluate(model: GcnnModel, samples: Sequence[GraphSample]):
     return accuracy, confusion
 
 
-def predict(model: GcnnModel, g: SpatialGraph, config: GraphConfig | None = None):
+def predict(model: GcnnModel, g: SpatialGraph, config: GraphConfig = GraphConfig()):
     """(probabilities, class index) for one graph; dropout is off.
 
     The graph's feature matrix is used as-is; apply the training-time
     standardizer first when the model was trained on standardized features.
     """
-    if config is None:
-        config = GraphConfig()
     L = laplacian(g, kind=config.laplacian)
     probs = model.forward(L, g.features, training=False)
     return probs, int(np.argmax(probs))
@@ -624,6 +620,29 @@ def predict(model: GcnnModel, g: SpatialGraph, config: GraphConfig | None = None
 
 # ---------------------------------------------------------------------------
 # Checkpoints
+
+_JSON_NUMBERS = (int, float)  # exact types: bool is an int subclass
+
+
+def _json_numbers(key: str, value, ndim: int):
+    """A checkpoint's `value` under `key`: a JSON number if `ndim` is 0, else
+    lists of numbers nested `ndim` deep, as a float array.  Raises ValueError
+    naming `key` for anything else: a bool, a string, lists nested deeper,
+    shallower or unevenly, or an integer beyond the float range."""
+    try:
+        leaves = np.array(value, dtype=object)
+        numbers = leaves.ndim == ndim and all(type(v) in _JSON_NUMBERS for v in leaves.flat)
+    except ValueError:  # unevenly nested
+        numbers = False
+    if not numbers:
+        if ndim == 0:
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a {ndim}-axis array of numbers")
+    try:
+        array = leaves.astype(float)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer too large for a float") from None
+    return array if ndim else value
 
 
 def _model_payload(model: GcnnModel) -> dict:
@@ -683,15 +702,24 @@ def load_checkpoint(path):
     try:
         m = payload["model"]
         layers = [
-            GraphConvLayer(theta=np.array(l["theta"]), bias=np.array(l["bias"]))
-            for l in m["conv_layers"]
+            GraphConvLayer(
+                theta=_json_numbers(f"conv_layers[{i}] theta", l["theta"], 3),
+                bias=_json_numbers(f"conv_layers[{i}] bias", l["bias"], 1),
+            )
+            for i, l in enumerate(m["conv_layers"])
         ]
         dense = DenseLayer(
-            weights=np.array(m["dense"]["weights"]), bias=np.array(m["dense"]["bias"])
+            weights=_json_numbers("dense weights", m["dense"]["weights"], 2),
+            bias=_json_numbers("dense bias", m["dense"]["bias"], 1),
         )
         if m["pool"] != "mean":
             raise ValueError(f"pool must be 'mean', got {m['pool']!r}")
-        model = GcnnModel(layers, dense, dropout_rate=m["dropout_rate"], l2_lambda=m["l2_lambda"])
+        model = GcnnModel(
+            layers,
+            dense,
+            dropout_rate=_json_numbers("dropout_rate", m["dropout_rate"], 0),
+            l2_lambda=_json_numbers("l2_lambda", m["l2_lambda"], 0),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
     return model, payload.get("extra", {})

@@ -59,7 +59,13 @@ def with_classes(model, classes):
 class TestParsing:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 2
-        capsys.readouterr()
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_every_parser_takes_flags_only_by_their_full_names(self):
+        # a command added later inherits no prefix matching
+        parser = cli.build_parser()
+        _, commands = parser._actions
+        assert [p.allow_abbrev for p in (parser, *commands.choices.values())] == [False] * 7
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
@@ -270,7 +276,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize(
         "extra", ["none", "short standardizer", "masked", "graph list", "graph null",
-                  "graph unknown key", "feature names reordered", "feature names not a list"],
+                  "graph unknown key", "feature names reordered", "feature names not a list",
+                  "mean strings", "mean bool", "mean nested"],
     )
     def test_checkpoint_without_usable_settings_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, extra
@@ -292,6 +299,10 @@ class TestExitCodes:
             settings["feature_names"] = settings["feature_names"][::-1]
         elif extra == "feature names not a list":
             settings["feature_names"] = ",".join(FEATURE_NAMES)
+        elif extra.startswith("mean"):  # JSON numbers only, in one list, as the data's
+            stats["mean"] = {"mean strings": [str(v) for v in stats["mean"]],
+                             "mean bool": [True, *stats["mean"][1:]],
+                             "mean nested": [[v] for v in stats["mean"]]}[extra]
         else:
             settings["graph"] = {"graph list": [], "graph null": None,
                                  "graph unknown key": {"structure": "dt", "kind": "sym"}}[extra]
@@ -301,6 +312,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error: checkpoint" in err
         assert ("feature_names" in err) == extra.startswith("feature names")
+        assert ("standardizer mean must be a 1-axis array of numbers" in err) == (
+            extra.startswith("mean"))
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("field, value", [("std", float("nan")), ("mean", float("inf"))])
@@ -321,7 +334,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit, fault",
         [(lambda m: m["conv_layers"][0].update(theta=m["conv_layers"][0]["theta"][0]),
-          "theta must be (K, c_in, c_out), got (5, 6)"),
+          "conv_layers[0] theta must be a 3-axis array of numbers"),
          (lambda m: m["conv_layers"][1]["theta"][2][0].__setitem__(3, float("nan")),
           "layer parameters must be finite"),
          (lambda m: m["conv_layers"][1]["bias"].append(0.0), "bias must be (6,), got (7,)"),
@@ -329,9 +342,18 @@ class TestExitCodes:
           "dense parameters must be finite"),
          (lambda m: m.update(conv_layers=[]), "model needs at least one conv layer"),
          (lambda m: m["dense"]["weights"].append([0.0, 0.0]),
-          "dense expects 7 channels, last conv emits 6")],
+          "dense expects 7 channels, last conv emits 6"),
+         (lambda m: m.update(dropout_rate="0.5"), "dropout_rate must be a number, got '0.5'"),
+         (lambda m: m.update(l2_lambda=True), "l2_lambda must be a number, got True"),
+         (lambda m: m.update(dropout_rate=10**400),
+          "dropout_rate holds an integer too large for a float"),
+         (lambda m: m["conv_layers"][0].update(bias=[str(b) for b in m["conv_layers"][0]["bias"]]),
+          "conv_layers[0] bias must be a 1-axis array of numbers"),
+         (lambda m: m["conv_layers"][1].update(bias=[[b] for b in m["conv_layers"][1]["bias"]]),
+          "conv_layers[1] bias must be a 1-axis array of numbers")],
         ids=["2d-theta", "nan-theta", "bias-shape", "inf-dense-weight", "no-conv-layers",
-             "dense-width"],
+             "dense-width", "string-dropout", "bool-l2", "huge-dropout", "string-bias",
+             "nested-bias"],
     )
     def test_malformed_model_payload_is_3(
         self, data_path, artifacts, tmp_path, capsys, command, edit, fault
@@ -443,6 +465,24 @@ class TestExitCodes:
         save_checkpoint(ckpt, model, settings)
         assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
         assert "data error: checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, fault",
+        [("ratios", ["0.6", "0.2", "0.2"], "split ratios must be a 1-axis array of numbers"),
+         ("seed", True, "split seed must be a number, got True"),
+         ("seed", "3", "split seed must be a number, got '3'")],
+        ids=["string-ratios", "bool-seed", "string-seed"],
+    )
+    def test_checkpoint_split_of_other_than_numbers_is_3(
+        self, data_path, artifacts, tmp_path, capsys, key, value, fault
+    ):
+        # eval rebuilds the training split from these, so they are JSON numbers as the data's are
+        model, settings = load_checkpoint(artifacts["ckpt"])
+        settings["split"][key] = value
+        ckpt = tmp_path / "split.json"
+        save_checkpoint(ckpt, model, settings)
+        assert run("eval", "--checkpoint", ckpt, "--data", data_path) == 3
+        assert fault in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize(
@@ -720,6 +760,43 @@ class TestExitCodes:
         assert rc == 2 and built == []
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep-k", "ablate-features"])
+    def test_negative_seed_is_2_and_named(
+        self, data_path, tmp_path, capsys, monkeypatch, command
+    ):
+        # one rule for every command that takes --seed, before any group is read or drawn
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "generate_synthetic_dataset", lambda **k: reads.append(k))
+        data = () if command == "generate" else ("--data", data_path)
+        out = ("--checkpoint" if command == "train" else "--out", tmp_path / "out")
+        assert run(command, *data, *out, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "usage error: --seed must be at least 0, got -1\n"
+        assert reads == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, paths, abbreviated",
+        [("generate", ["--out"], ["--gr", "4"]),
+         ("train", ["--data", "--checkpoint"], ["--chan", "6"]),
+         ("eval", ["--checkpoint", "--data"], ["--spl", "test"]),
+         ("predict", ["--checkpoint", "--data"], ["--ou", "x.ndjson"]),
+         ("sweep-k", ["--data"], ["--k-val", "1"]),
+         ("ablate-features", ["--data"], ["--mo", "all-but-one"])],
+        ids=["generate", "train", "eval", "predict", "sweep-k", "ablate-features"],
+    )
+    def test_an_abbreviated_flag_is_2_before_any_file_is_opened(
+        self, tmp_path, capsys, monkeypatch, command, paths, abbreviated
+    ):
+        # flags are taken by their full names only, so a prefix cannot come
+        # to mean a flag added later
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli, "generate_synthetic_dataset", lambda **k: reads.append(k))
+        argv = [a for flag in paths for a in (flag, tmp_path / flag.lstrip("-"))]
+        assert run(command, *argv, *abbreviated) == 2
+        assert f"unrecognized arguments: {' '.join(abbreviated)}" in capsys.readouterr().err
+        assert reads == [] and list(tmp_path.iterdir()) == []
 
     def test_bad_flag_is_2_before_the_data_file_is_opened(self, tmp_path, capsys):
         missing = tmp_path / "missing.ndjson"

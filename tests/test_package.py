@@ -126,6 +126,21 @@ def test_settings_a_caller_can_pass_are_pinned():
     ]
 
 
+def test_sample_path_defaults_are_values():
+    # each default is the setting it stands for, and None is not a second spelling of it
+    defaults = [
+        (graph.graph_stacks, "config"),
+        (graph.build_spatial_graph, "config"),
+        (data.split_graphs, "graph_config"),
+        (data.prepare_training_samples, "graph_config"),
+        (data.prepare_inference_samples, "graph_config"),
+        (nn.predict, "config"),
+    ]
+    for f, name in defaults:
+        assert inspect.signature(f).parameters[name].default == graph.GraphConfig(), f.__name__
+    assert inspect.signature(nn.train).parameters["config"].default == nn.TrainConfig()
+
+
 def test_command_options_are_pinned():
     # a new flag, or one coming back, has to change this test too
     train_flags = [
