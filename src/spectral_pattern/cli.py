@@ -127,6 +127,15 @@ _TRAIN_FLAGS = (
     "k", "layers", "channels", "lr", "epochs", "batch", "dropout", "l2", "optimizer", "seed",
 )
 
+# the flag of each setting whose check `_runs` reports as a usage error
+_SETTING_FLAGS = {
+    "batch_size": "--batch",
+    "epochs": "--epochs",
+    "learning_rate": "--lr",
+    "dropout_rate": "--dropout",
+    "l2_lambda": "--l2",
+}
+
 
 def _runs(args, variants, tested=False):
     """Trains one model per (name, K, feature mask) variant on the split and
@@ -166,8 +175,10 @@ def _runs(args, variants, tested=False):
             seed=args.seed,
             optimizer=args.optimizer,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    except ValueError as exc:  # "<setting> must be ...", said of its flag
+        message = str(exc)
+        setting = message.split(" ", 1)[0]
+        raise UsageError(_SETTING_FLAGS.get(setting, setting) + message[len(setting):]) from None
     groups = split_dataset(load_dataset(args.data), ratios, args.seed)
     if tested and not groups["test"]:
         raise EmptySplit(f"the test split of {args.data} is empty")

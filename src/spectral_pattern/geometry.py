@@ -476,7 +476,8 @@ def _features(M: np.ndarray) -> np.ndarray:
 
 
 def _measures(polys: Sequence[Polygon]) -> np.ndarray:
-    """The measures rows of polys, in their order: (len(polys), 10)."""
+    """The measures rows of polys, in their order: (len(polys), 10).  Each
+    row is copied once, from its block into the result."""
     first, blocks, rows, total = {}, [], [], 0
     for p in polys:
         block = p._block
@@ -486,4 +487,13 @@ def _measures(polys: Sequence[Polygon]) -> np.ndarray:
             blocks.append(block.measures)
             total += len(block.measures)
         rows.append(start + p._row)
-    return np.concatenate(blocks)[rows] if blocks else np.zeros((0, 10))
+    rows = np.array(rows, dtype=np.intp)  # into the blocks laid end to end
+    out = np.empty((len(rows), 10))
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    lo = start = 0
+    for m in blocks:  # the rows from block m are ordered[lo:hi]
+        hi = np.searchsorted(ordered, start + len(m))
+        out[order[lo:hi]] = m[ordered[lo:hi] - start]
+        lo, start = hi, start + len(m)
+    return out

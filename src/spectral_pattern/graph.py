@@ -532,12 +532,14 @@ def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
     mapped to 2 L / lambda_up - I with lambda_up the Gershgorin upper bound,
     which keeps the spectrum inside [-1, 1] without an eigensolve.  A stack
     gives a stack, each matrix equal bit for bit to its own Laplacian.
+
+    W is left untouched: every step after the first runs in place on the
+    output, so the peak is the output and about one W-sized temporary.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
     W = g.weights if isinstance(g, SpatialGraph) else np.asarray(g, dtype=float)
     n = W.shape[-1]
-    eye = np.eye(n)
     deg = W.sum(axis=-1)
     if kind == "comb":
         L = np.zeros(W.shape)
@@ -550,12 +552,19 @@ def laplacian(g, kind: str = "sym", scaled: bool = True) -> LaplacianMatrix:
             graph = f"graph {int(where[0])}: " if deg.ndim > 1 else ""
             raise IsolatedVertex(f"{graph}vertex {int(np.argmin(rows))} has zero degree")
         inv_sqrt = 1.0 / np.sqrt(deg)
-        L = eye - (inv_sqrt[..., :, None] * W * inv_sqrt[..., None, :])
-    L = (L + np.swapaxes(L, -1, -2)) / 2.0  # kill rounding asymmetry
+        L = inv_sqrt[..., :, None] * W
+        L *= inv_sqrt[..., None, :]
+        np.subtract(0.0, L, out=L)  # eye - L: 0.0 - x keeps +0.0 where -x would not
+        np.einsum("...ii->...i", L)[...] += 1.0
+    L += np.swapaxes(L, -1, -2)  # kill rounding asymmetry; numpy copies the overlapping operand
+    L /= 2.0
     if scaled:
         lam_up = _gershgorin(L)[..., None, None]
-        flat = lam_up <= 0  # zero matrix: spectrum is {0}, center it
-        L = np.where(flat, -eye, (2.0 / np.where(flat, 1.0, lam_up)) * L - eye)
+        flat = lam_up <= 0  # zero matrix: spectrum is {0}, center it at -eye
+        L *= 2.0 / np.where(flat, 1.0, lam_up)
+        if flat.any():
+            np.copyto(L, -0.0, where=flat)  # as in -eye, off its diagonal
+        np.einsum("...ii->...i", L)[...] -= 1.0
     return LaplacianMatrix(values=L)
 
 

@@ -802,7 +802,22 @@ class TestExitCodes:
         missing = tmp_path / "missing.ndjson"
         rc = run("train", "--data", missing, "--checkpoint", tmp_path / "m.json", "--batch", "0")
         assert rc == 2
-        assert capsys.readouterr().err == "usage error: batch_size must be at least 1\n"
+        assert capsys.readouterr().err == "usage error: --batch must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--batch", "0", "--batch must be at least 1"),
+         ("--epochs", "0", "--epochs must be at least 1"),
+         ("--lr", "nan", "--lr must be finite and positive, got nan"),
+         ("--dropout", "1", "--dropout must be in [0, 1)"),
+         ("--l2", "inf", "--l2 must be finite and nonnegative, got inf")],
+        ids=["batch", "epochs", "lr", "dropout", "l2"],
+    )
+    def test_a_training_setting_is_reported_by_its_flag(self, tmp_path, capsys, flag, value, message):
+        missing = tmp_path / "missing.ndjson"
+        rc = run("train", "--data", missing, "--checkpoint", tmp_path / "m.json", flag, value)
+        assert rc == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize(
         "flag, command",

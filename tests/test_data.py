@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,6 +655,33 @@ def split():
 
 
 class TestPrepareSamples:
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_one_large_group_is_sampled_in_bounded_memory(self):
+        # 2,000 buildings: each n x n float array is 30.5 MiB, and a new
+        # Laplacian array at every step peaked near 219 MiB in all
+        code = (
+            "import resource\n"
+            "from spectral_pattern.data import BuildingGroup, Standardizer,"
+            " prepare_inference_samples\n"
+            "from spectral_pattern.geometry import polygons\n"
+            "import numpy as np\n"
+            "rng = np.random.default_rng(0)\n"
+            "k = np.arange(2000)\n"
+            "xs = 10.0 * (k % 45) + rng.uniform(-2, 2, 2000)\n"
+            "ys = 10.0 * (k // 45) + rng.uniform(-2, 2, 2000)\n"
+            "rings = [[(x - 2, y - 1.5), (x + 2, y - 1.5), (x + 2, y + 1.5), (x - 2, y + 1.5)]\n"
+            "         for x, y in zip(xs.tolist(), ys.tolist())]\n"
+            "group = BuildingGroup('big', polygons(rings))\n"
+            "prepare_inference_samples([group], Standardizer(np.zeros(5), np.ones(5)))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(data.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 175 * 1024
+
     def test_shapes_labels_and_ids(self, split):
         samples, std = prepare_training_samples(split)
         assert set(samples) == {"train", "val", "test"}

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,50 @@ def measures_of(p):
         tuple(extract_features(p)),
         (r.angle, r.length, r.width, *r.center),
     )
+
+
+def reference_gather(polys):
+    """The measures rows of polys as `_measures` took them before it copied
+    each row once: every block they touch laid end to end, then gathered."""
+    first, blocks, rows = {}, [], []
+    for p in polys:
+        m = p._block.measures
+        if id(m) not in first:
+            first[id(m)] = sum(map(len, blocks))
+            blocks.append(m)
+        rows.append(first[id(m)] + p._row)
+    return np.concatenate(blocks)[rows]
+
+
+def polygons_of_many_blocks(count, seed):
+    """count footprints drawn with repeats, in random order, from two batches
+    of rings of 3 to 8 vertices: one block per vertex count and batch."""
+    made = [p for batch in range(2) for p in polygons(
+        [regular_ngon(n, radius=1.0 + k % 7, cx=20.0 * k, phase=0.1 * batch)
+         for k in range(count // 6 + 1) for n in range(3, 9)])]
+    rng = np.random.default_rng(seed)
+    return [made[i] for i in rng.choice(len(made), count)]
+
+
+class TestMeasuresRows:
+    def test_matches_the_gather_from_blocks_laid_end_to_end(self):
+        polys = polygons_of_many_blocks(600, seed=3)
+        assert len({id(p._block) for p in polys}) == 12
+        assert geometry._measures(polys).tobytes() == reference_gather(polys).tobytes()
+
+    def test_no_polygons_give_no_rows(self):
+        assert geometry._measures([]).shape == (0, 10)
+
+    def test_peaks_within_twice_its_output(self):
+        # laying the blocks end to end first peaked at 2.6 outputs
+        polys = polygons_of_many_blocks(6_000, seed=4)
+        tracemalloc.start()
+        try:
+            out = geometry._measures(polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestBatches:
